@@ -4,12 +4,13 @@
 //! The engine's batched hot path amortizes the ε-rounding / switch check
 //! (which for sketch-switching pools means a median computation over the
 //! active copy) to one per batch instead of one per update; this bench
-//! quantifies the win on `RobustF0` and `RobustFp` and writes the repo's
+//! quantifies the win on robust `F₀` and `F_p` and writes the repo's
 //! BENCH_batch_throughput.json trajectory point.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ars_core::{RobustBuilder, RobustEstimator, Strategy, StreamSession};
+use ars_sketch::Estimator;
 use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
 use ars_stream::{StreamModel, Update, ValidationTier};
 

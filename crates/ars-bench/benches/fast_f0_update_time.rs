@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ars_bench::{fast_f0_update_time, ExperimentScale};
-use ars_core::{F0Method, RobustF0Builder};
+use ars_core::{RobustBuilder, Strategy};
 use ars_sketch::fast_f0::{FastF0Config, FastF0Sketch};
 use ars_sketch::kmv::{KmvConfig, KmvSketch};
 use ars_sketch::Estimator;
@@ -63,12 +63,12 @@ fn bench_updates(c: &mut Criterion) {
     group.bench_function("robust_f0_computation_paths", |b| {
         b.iter_batched(
             || {
-                RobustF0Builder::new(0.1)
-                    .method(F0Method::ComputationPaths)
+                RobustBuilder::new(0.1)
+                    .strategy(Strategy::ComputationPaths)
                     .domain(domain)
                     .stream_length(updates.len() as u64)
                     .seed(9)
-                    .build()
+                    .f0()
             },
             |mut robust| {
                 for &u in &updates {

@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p ars-bench --bin attack_demo [rows]`
 
 use ars_adversary::{Adversary, AmsAttackAdversary};
-use ars_core::{FpMethod, RobustFpBuilder};
+use ars_core::{RobustBuilder, Strategy};
 use ars_sketch::ams::{AmsConfig, AmsSketch};
 use ars_sketch::Estimator;
 use ars_stream::FrequencyVector;
@@ -18,11 +18,11 @@ fn main() {
     let rounds = 50 * rows;
 
     let mut ams = AmsSketch::new(AmsConfig::single_mean(rows), 7);
-    let mut robust = RobustFpBuilder::new(2.0, 0.5)
-        .method(FpMethod::SketchSwitching)
+    let mut robust = RobustBuilder::new(0.5)
+        .strategy(Strategy::SketchSwitching)
         .stream_length(rounds as u64)
         .seed(11)
-        .build();
+        .fp(2.0);
     let mut ams_adversary = AmsAttackAdversary::new(rows, 13);
     let mut robust_adversary = AmsAttackAdversary::new(rows, 13);
 

@@ -1530,7 +1530,7 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
 /// re-provisioned with a doubled λ.
 #[must_use]
 pub fn validator_tiers_experiment(scale: ExperimentScale, seed: u64) -> ExperimentReport {
-    use ars_core::SessionManager;
+    use ars_core::{ProblemSpec, ProvisionerSpec, SessionManager};
     use ars_stream::{StreamModel, StreamValidator, ValidationTier};
 
     let mut report = ExperimentReport::new(
@@ -1627,21 +1627,21 @@ pub fn validator_tiers_experiment(scale: ExperimentScale, seed: u64) -> Experime
 
     // --- SessionManager: exhaustion and automatic re-provisioning ---
     let lambda0 = 2usize;
-    let mb = RobustBuilder::new(epsilon)
-        .stream_length(scale.stream_length as u64)
-        .domain(1 << 10)
-        .max_frequency(64)
-        .seed(seed ^ 0xBEE);
+    let spec = ProvisionerSpec::new(
+        ProblemSpec::TurnstileFp {
+            p: 2.0,
+            lambda: lambda0,
+        },
+        epsilon,
+    )
+    .stream_length(scale.stream_length as u64)
+    .domain(1 << 10)
+    .max_frequency(64)
+    .seed(seed ^ 0xBEE);
     let mut manager = SessionManager::new();
-    manager.register(
-        "waves",
-        StreamSession::new(
-            StreamModel::Turnstile,
-            Box::new(mb.turnstile_fp(2.0, lambda0)),
-        )
-        .with_exact_state(),
-        Box::new(move |lambda| Box::new(mb.turnstile_fp(2.0, lambda))),
-    );
+    manager
+        .register_spec("waves", spec)
+        .expect("the waves spec is valid");
     let waves = TurnstileWaveGenerator::new(400).take_updates(scale.stream_length.min(6_000));
     for u in waves {
         manager

@@ -145,66 +145,3 @@ pub trait RobustEstimator: Estimator + Send {
         let _ = state;
     }
 }
-
-/// Forwards the whole [`RobustEstimator`] surface of a wrapper struct to an
-/// inner field. The eight problem-specific shim types in this crate are
-/// exactly such wrappers over [`crate::engine::Robustify`]; the macro keeps
-/// them free of hand-written plumbing (the old per-type `enum Inner`
-/// dispatch this crate used to contain).
-macro_rules! delegate_robust_estimator {
-    ($ty:ty, $field:ident) => {
-        impl ars_sketch::Estimator for $ty {
-            fn update(&mut self, update: ars_stream::Update) {
-                self.$field.update(update);
-            }
-
-            fn estimate(&self) -> f64 {
-                self.$field.estimate()
-            }
-
-            fn space_bytes(&self) -> usize {
-                self.$field.space_bytes()
-            }
-        }
-
-        impl $crate::api::RobustEstimator for $ty {
-            fn update_batch(&mut self, updates: &[ars_stream::Update]) {
-                $crate::api::RobustEstimator::update_batch(&mut self.$field, updates);
-            }
-
-            fn epsilon(&self) -> f64 {
-                $crate::api::RobustEstimator::epsilon(&self.$field)
-            }
-
-            fn output_changes(&self) -> usize {
-                $crate::api::RobustEstimator::output_changes(&self.$field)
-            }
-
-            fn flip_budget(&self) -> usize {
-                $crate::api::RobustEstimator::flip_budget(&self.$field)
-            }
-
-            fn copies(&self) -> usize {
-                $crate::api::RobustEstimator::copies(&self.$field)
-            }
-
-            fn query(&self) -> $crate::estimate::Estimate {
-                $crate::api::RobustEstimator::query(&self.$field)
-            }
-
-            fn strategy_name(&self) -> &'static str {
-                $crate::api::RobustEstimator::strategy_name(&self.$field)
-            }
-
-            fn publication_state(&self) -> Option<$crate::engine::PublicationState> {
-                $crate::api::RobustEstimator::publication_state(&self.$field)
-            }
-
-            fn restore_publication(&mut self, state: &$crate::engine::PublicationState) {
-                $crate::api::RobustEstimator::restore_publication(&mut self.$field, state);
-            }
-        }
-    };
-}
-
-pub(crate) use delegate_robust_estimator;

@@ -8,10 +8,14 @@
 //! computes the problem's flip-number budget, instantiates the right
 //! static-sketch factory, and hands both to the chosen strategy. All the
 //! robustness machinery lives in the [`crate::engine`] and
-//! [`crate::strategy`] modules, exactly once.
+//! [`crate::strategy`] modules, exactly once, and every scalar constructor
+//! returns that engine — [`DynRobust`] — directly. Its surface is the
+//! [`crate::api::RobustEstimator`] trait (with [`ars_sketch::Estimator`]
+//! for `update`/`insert`/`estimate`/`space_bytes`).
 //!
 //! ```
 //! use ars_core::{RobustBuilder, Strategy};
+//! use ars_sketch::Estimator;
 //!
 //! let mut f0 = RobustBuilder::new(0.1)
 //!     .stream_length(10_000)
@@ -34,18 +38,13 @@ use ars_sketch::pstable::{PStableConfig, PStableFactory};
 use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
 use ars_sketch::EstimatorFactory;
 
-use crate::crypto_f0::CryptoRobustF0;
 use crate::difference_estimators::{DifferenceEstimatorsStrategy, DifferenceSchedule};
 use crate::dp_aggregation::{DpAggregationConfig, DpAggregationStrategy};
 use crate::engine::{DynRobust, RobustPlan};
 use crate::error::{ArsError, BuildError};
 use crate::flip_number::FlipNumberBound;
-use crate::robust_bounded_deletion::RobustBoundedDeletionFp;
-use crate::robust_entropy::{EntropyMethod, ExponentialFactory, RobustEntropy};
-use crate::robust_f0::RobustF0;
-use crate::robust_fp::{RobustFp, RobustFpLarge};
+use crate::robust_entropy::{EntropyMethod, ExponentialFactory};
 use crate::robust_heavy_hitters::RobustL2HeavyHitters;
-use crate::robust_turnstile::RobustTurnstileFp;
 use crate::sketch_switch::SketchSwitchConfig;
 use crate::strategy::{
     ComputationPathsStrategy, CryptoBackend, CryptoMaskStrategy, PoolPolicy, RobustStrategy,
@@ -98,8 +97,7 @@ pub struct RobustBuilder {
 
 impl RobustBuilder {
     /// The Theorem 10.1 preset: a builder with δ pinned to 1/4 (the
-    /// theorem states success probability 3/4), matching the sketch the
-    /// pre-engine `CryptoRobustF0Builder` produced. Without this preset,
+    /// theorem states success probability 3/4). Without this preset,
     /// `RobustBuilder::new(eps).crypto_f0()` silently uses the shared
     /// default δ = 10⁻³ and provisions a noticeably larger tracking
     /// ensemble than the theorem asks for.
@@ -291,6 +289,7 @@ impl RobustBuilder {
     ///
     /// ```
     /// use ars_core::{RobustBuilder, RobustEstimator, Strategy};
+    /// use ars_sketch::Estimator;
     ///
     /// // The difference-estimator route: an O(log λ) chunk pool whose
     /// // readings report the provisioned per-chunk flip budget.
@@ -307,17 +306,17 @@ impl RobustBuilder {
     /// assert!(reading.copies >= 4 && reading.copies <= 24); // log-sized pool
     /// ```
     #[must_use]
-    pub fn f0(&self) -> RobustF0 {
+    pub fn f0(&self) -> DynRobust {
         self.try_f0().unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Fallible [`RobustBuilder::f0`]. Every strategy admits an `F₀`
     /// route, so with a validly-constructed builder this cannot currently
     /// fail; it completes the uniform `try_*` surface.
-    pub fn try_f0(&self) -> Result<RobustF0, ArsError> {
+    pub fn try_f0(&self) -> Result<DynRobust, ArsError> {
         let lambda = self.f0_flip_number();
         let plan = self.plan(lambda, (self.domain.max(2)) as f64);
-        let engine = match self.strategy.unwrap_or_default() {
+        Ok(match self.strategy.unwrap_or_default() {
             Strategy::SketchSwitching => {
                 // Strong tracking with per-copy failure δ / λ, as Lemma 3.6
                 // requires (floored for practicality; the copy count is
@@ -360,8 +359,7 @@ impl RobustBuilder {
                 DifferenceEstimatorsStrategy::with_schedule(schedule)
                     .wrap(factory, &plan, self.seed)
             }
-        };
-        Ok(RobustF0::from_engine(engine))
+        })
     }
 
     /// The flip-number budget of `F_p` (Corollary 3.5).
@@ -376,6 +374,7 @@ impl RobustBuilder {
     ///
     /// ```
     /// use ars_core::{RobustBuilder, RobustEstimator};
+    /// use ars_sketch::Estimator;
     ///
     /// let mut f2 = RobustBuilder::new(0.3)
     ///     .stream_length(1_000)
@@ -388,20 +387,20 @@ impl RobustBuilder {
     /// assert!((f2.query().value - 200.0).abs() <= 0.45 * 200.0);
     /// ```
     #[must_use]
-    pub fn fp(&self, p: f64) -> RobustFp {
+    pub fn fp(&self, p: f64) -> DynRobust {
         self.try_fp(p).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Fallible [`RobustBuilder::fp`]: rejects `p` outside `(0, 2]` and
     /// the (unsound) cryptographic strategy with a typed error.
-    pub fn try_fp(&self, p: f64) -> Result<RobustFp, ArsError> {
+    pub fn try_fp(&self, p: f64) -> Result<DynRobust, ArsError> {
         if !(p > 0.0 && p <= 2.0) {
             return Err(BuildError::out_of_range("p", p, "(0, 2]; use fp_large for p > 2").into());
         }
         let lambda = self.fp_flip_number(p);
         let value_range = (self.max_frequency as f64).powf(p.max(1.0)) * self.domain as f64;
         let plan = self.plan(lambda, value_range);
-        let engine = match self.strategy.unwrap_or_default() {
+        Ok(match self.strategy.unwrap_or_default() {
             Strategy::SketchSwitching => {
                 // Strong tracking of each copy with failure δ/λ: the
                 // p-stable median-of-rows estimator concentrates
@@ -447,21 +446,20 @@ impl RobustBuilder {
                 DifferenceEstimatorsStrategy::with_schedule(schedule)
                     .wrap(factory, &plan, self.seed)
             }
-        };
-        Ok(RobustFp::from_engine(engine, p))
+        })
     }
 
     /// Robust `F_p` for `p > 2` (Theorem 1.7; computation paths over the
     /// heavy-elements estimator, whose space grows only logarithmically in
     /// `1/δ`).
     #[must_use]
-    pub fn fp_large(&self, p: f64) -> RobustFpLarge {
+    pub fn fp_large(&self, p: f64) -> DynRobust {
         self.try_fp_large(p).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Fallible [`RobustBuilder::fp_large`]: rejects `p ≤ 2` and
     /// non-computation-paths strategies with a typed error.
-    pub fn try_fp_large(&self, p: f64) -> Result<RobustFpLarge, ArsError> {
+    pub fn try_fp_large(&self, p: f64) -> Result<DynRobust, ArsError> {
         if p <= 2.0 {
             return Err(BuildError::out_of_range("p", p, "(2, inf); use fp for p <= 2").into());
         }
@@ -472,16 +470,15 @@ impl RobustBuilder {
         let factory = FpLargeFactory {
             config: FpLargeConfig::for_accuracy(p, self.epsilon / 4.0, self.domain),
         };
-        let engine = ComputationPathsStrategy.wrap(factory, &plan, self.seed);
-        Ok(RobustFpLarge::from_engine(engine, p))
+        Ok(ComputationPathsStrategy.wrap(factory, &plan, self.seed))
     }
 
     /// Robust `F_p` for turnstile streams promised to have flip number at
     /// most `lambda` (Theorem 1.6 / 4.3). The wrapper cannot verify the
-    /// promise; [`RobustTurnstileFp::budget_exceeded`] flags streams that
+    /// promise; [`crate::api::RobustEstimator::budget_exceeded`] flags streams that
     /// left the class.
     #[must_use]
-    pub fn turnstile_fp(&self, p: f64, lambda: usize) -> RobustTurnstileFp {
+    pub fn turnstile_fp(&self, p: f64, lambda: usize) -> DynRobust {
         self.try_turnstile_fp(p, lambda)
             .unwrap_or_else(|err| panic!("{err}"))
     }
@@ -489,7 +486,7 @@ impl RobustBuilder {
     /// Fallible [`RobustBuilder::turnstile_fp`]: rejects `p` outside
     /// `(0, 2]`, a zero flip-number promise, and non-computation-paths
     /// strategies with a typed error.
-    pub fn try_turnstile_fp(&self, p: f64, lambda: usize) -> Result<RobustTurnstileFp, ArsError> {
+    pub fn try_turnstile_fp(&self, p: f64, lambda: usize) -> Result<DynRobust, ArsError> {
         if !(p > 0.0 && p <= 2.0) {
             return Err(BuildError::out_of_range("p", p, "(0, 2]").into());
         }
@@ -503,8 +500,7 @@ impl RobustBuilder {
         let factory = PStableFactory {
             config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta0),
         };
-        let engine = ComputationPathsStrategy.wrap(factory, &plan, self.seed);
-        Ok(RobustTurnstileFp::from_engine(engine, p))
+        Ok(ComputationPathsStrategy.wrap(factory, &plan, self.seed))
     }
 
     /// The flip-number budget of Lemma 8.2.
@@ -523,7 +519,7 @@ impl RobustBuilder {
     /// Robust `F_p` for α-bounded-deletion streams (Theorem 1.11 / 8.3),
     /// `p ∈ [1, 2]`, `α ≥ 1`.
     #[must_use]
-    pub fn bounded_deletion_fp(&self, p: f64, alpha: f64) -> RobustBoundedDeletionFp {
+    pub fn bounded_deletion_fp(&self, p: f64, alpha: f64) -> DynRobust {
         self.try_bounded_deletion_fp(p, alpha)
             .unwrap_or_else(|err| panic!("{err}"))
     }
@@ -531,11 +527,7 @@ impl RobustBuilder {
     /// Fallible [`RobustBuilder::bounded_deletion_fp`]: rejects `p`
     /// outside `[1, 2]` (Theorem 8.3 covers p in [1, 2]), `α < 1`, and
     /// non-computation-paths strategies with a typed error.
-    pub fn try_bounded_deletion_fp(
-        &self,
-        p: f64,
-        alpha: f64,
-    ) -> Result<RobustBoundedDeletionFp, ArsError> {
+    pub fn try_bounded_deletion_fp(&self, p: f64, alpha: f64) -> Result<DynRobust, ArsError> {
         if !(1.0..=2.0).contains(&p) {
             return Err(BuildError::out_of_range("p", p, "[1, 2] (Theorem 8.3)").into());
         }
@@ -550,8 +542,7 @@ impl RobustBuilder {
         let factory = PStableFactory {
             config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta0),
         };
-        let engine = ComputationPathsStrategy.wrap(factory, &plan, self.seed);
-        Ok(RobustBoundedDeletionFp::from_engine(engine, p, alpha))
+        Ok(ComputationPathsStrategy.wrap(factory, &plan, self.seed))
     }
 
     /// The flip-number budget of `2^{H}` (Proposition 7.2).
@@ -564,13 +555,13 @@ impl RobustBuilder {
     /// Robust ε-additive Shannon entropy (Theorem 1.10 / 7.3): tracks
     /// `2^{H(f)}` multiplicatively through exhaustible sketch switching.
     #[must_use]
-    pub fn entropy(&self) -> RobustEntropy {
+    pub fn entropy(&self) -> DynRobust {
         self.try_entropy().unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Fallible [`RobustBuilder::entropy`]: rejects every strategy but
     /// sketch switching with a typed error.
-    pub fn try_entropy(&self) -> Result<RobustEntropy, ArsError> {
+    pub fn try_entropy(&self) -> Result<DynRobust, ArsError> {
         if let Some(strategy) = self.strategy {
             if !matches!(strategy, Strategy::SketchSwitching) {
                 return Err(BuildError::StrategyMismatch {
@@ -602,7 +593,7 @@ impl RobustBuilder {
         let strategy = SketchSwitchStrategy {
             pool: PoolPolicy::Explicit(SketchSwitchConfig::exhaustible(mult_epsilon, pool)),
         };
-        let engine = match self.entropy_method {
+        Ok(match self.entropy_method {
             EntropyMethod::Renyi => {
                 // A practically parametrized Rényi order: the paper's
                 // α − 1 = Θ̃(ε / log² n) makes the F_α sketch astronomically
@@ -630,8 +621,7 @@ impl RobustBuilder {
                 };
                 strategy.wrap(factory, &plan, self.seed)
             }
-        };
-        Ok(RobustEntropy::from_engine(engine, self.entropy_method))
+        })
     }
 
     /// Robust `L₂` heavy hitters / point queries (Theorem 1.9 / 6.5).
@@ -661,13 +651,13 @@ impl RobustBuilder {
     /// assumptions (Theorem 10.1): PRF-mask items into a static tracking
     /// sketch, publish raw.
     #[must_use]
-    pub fn crypto_f0(&self) -> CryptoRobustF0 {
+    pub fn crypto_f0(&self) -> DynRobust {
         self.try_crypto_f0().unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Fallible [`RobustBuilder::crypto_f0`]: rejects a conflicting
     /// (non-crypto) strategy selection with a typed error.
-    pub fn try_crypto_f0(&self) -> Result<CryptoRobustF0, ArsError> {
+    pub fn try_crypto_f0(&self) -> Result<DynRobust, ArsError> {
         let backend = match self.strategy {
             None => CryptoBackend::default(),
             Some(Strategy::Crypto(backend)) => backend,
@@ -685,8 +675,7 @@ impl RobustBuilder {
         };
         let plan = self.plan(self.f0_flip_number(), (self.domain.max(2)) as f64);
         let factory = self.crypto_f0_factory();
-        let engine = CryptoMaskStrategy { backend }.wrap(factory, &plan, self.seed);
-        Ok(CryptoRobustF0::from_engine(engine, backend))
+        Ok(CryptoMaskStrategy { backend }.wrap(factory, &plan, self.seed))
     }
 
     /// The strong-tracking KMV ensemble behind the pool-based `F₀` routes
@@ -739,6 +728,12 @@ impl RobustBuilder {
 mod tests {
     use super::*;
     use crate::api::RobustEstimator;
+    use ars_sketch::Estimator;
+    use ars_stream::generator::{
+        BoundedDeletionGenerator, Generator, SlidingDistinctGenerator, TurnstileWaveGenerator,
+        UniformGenerator, ZipfGenerator,
+    };
+    use ars_stream::{FrequencyVector, StreamModel, StreamValidator, Update};
 
     #[test]
     fn every_problem_is_constructible_and_boxable() {
@@ -870,14 +865,16 @@ mod tests {
 
     #[test]
     fn theorem_10_1_preset_pins_the_paper_delta() {
-        // The preset must reproduce the legacy CryptoRobustF0Builder sketch
-        // exactly: same delta = 1/4, hence the same tracking ensemble and
-        // identical estimates under the same seed.
+        // The preset must equal the explicit Theorem 10.1 configuration:
+        // delta = 1/4 and the default crypto backend, hence the same
+        // tracking ensemble under the same seed.
         let preset = RobustBuilder::theorem_10_1(0.1).seed(3).crypto_f0();
-        let legacy = crate::crypto_f0::CryptoRobustF0Builder::new(0.1)
+        let explicit = RobustBuilder::new(0.1)
+            .delta(0.25)
+            .strategy(Strategy::Crypto(CryptoBackend::default()))
             .seed(3)
-            .build();
-        assert_eq!(preset.space_bytes(), legacy.space_bytes());
+            .crypto_f0();
+        assert_eq!(preset.space_bytes(), explicit.space_bytes());
         // The preset pins delta = 1/4, against the shared default of 1e-3
         // — the footgun the preset exists to avoid. (At some parameter
         // points the tracking-ensemble clamp makes the two deltas produce
@@ -949,5 +946,409 @@ mod tests {
         let _ = RobustBuilder::new(0.1)
             .strategy(Strategy::SketchSwitching)
             .turnstile_fp(2.0, 10);
+    }
+
+    // ------------------------------------------------------------------
+    // Per-problem behaviour: tracking, flip accounting and validation of
+    // each constructor's engine.
+    // ------------------------------------------------------------------
+
+    fn worst_f0_tracking_error(strategy: Strategy, epsilon: f64, seed: u64) -> f64 {
+        let mut robust = RobustBuilder::new(epsilon)
+            .strategy(strategy)
+            .stream_length(40_000)
+            .domain(1 << 18)
+            .seed(seed)
+            .f0();
+        let updates = UniformGenerator::new(1 << 18, seed).take_updates(40_000);
+        let mut truth = FrequencyVector::new();
+        let mut worst: f64 = 0.0;
+        for &u in &updates {
+            truth.apply(u);
+            robust.update(u);
+            let t = truth.f0() as f64;
+            if t >= 200.0 {
+                worst = worst.max(((robust.estimate() - t) / t).abs());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn sketch_switching_tracks_distinct_elements() {
+        let worst = worst_f0_tracking_error(Strategy::SketchSwitching, 0.2, 3);
+        assert!(worst <= 0.25, "worst-case error {worst}");
+    }
+
+    #[test]
+    fn computation_paths_tracks_distinct_elements() {
+        let worst = worst_f0_tracking_error(Strategy::ComputationPaths, 0.2, 5);
+        assert!(worst <= 0.25, "worst-case error {worst}");
+    }
+
+    #[test]
+    fn plateauing_streams_stabilize_the_output() {
+        let mut robust = RobustBuilder::new(0.1).seed(7).f0();
+        for u in SlidingDistinctGenerator::new(2_000, 9).take_updates(20_000) {
+            robust.update(u);
+        }
+        // Final truth is exactly 2000 distinct items.
+        let est = robust.estimate();
+        assert!(
+            (est - 2_000.0).abs() <= 0.15 * 2_000.0,
+            "estimate {est} for 2000 distinct"
+        );
+        // Once the distinct count plateaus the output stops changing, so the
+        // number of output changes stays near the flip bound for 2000.
+        let bound = ((2_000f64).ln() / (1.05f64).ln()).ceil() as usize + 5;
+        assert!(robust.output_changes() <= bound);
+    }
+
+    #[test]
+    fn builder_reports_flip_number_and_epsilon() {
+        let builder = RobustBuilder::new(0.1).domain(1 << 16);
+        assert!(builder.f0_flip_number() > 100);
+        let robust = builder.f0();
+        assert_eq!(robust.epsilon(), 0.1);
+        assert!(robust.space_bytes() > 0);
+    }
+
+    #[test]
+    fn tracks_distinct_elements_with_both_backends() {
+        for backend in [CryptoBackend::ChaChaPrf, CryptoBackend::RandomOracle] {
+            let mut robust = RobustBuilder::theorem_10_1(0.1)
+                .strategy(Strategy::Crypto(backend))
+                .stream_length(30_000)
+                .seed(3)
+                .crypto_f0();
+            let updates = UniformGenerator::new(1 << 16, 5).take_updates(30_000);
+            let mut truth = FrequencyVector::new();
+            let mut worst: f64 = 0.0;
+            for &u in &updates {
+                truth.apply(u);
+                robust.update(u);
+                let t = truth.f0() as f64;
+                if t > 500.0 {
+                    worst = worst.max(((robust.estimate() - t) / t).abs());
+                }
+            }
+            assert!(worst < 0.2, "{backend:?}: worst tracking error {worst}");
+        }
+    }
+
+    #[test]
+    fn duplicate_probing_does_not_move_the_estimate() {
+        // The key property the Theorem 10.1 proof uses: repeats leave the
+        // state unchanged, so an adversary replaying old items learns
+        // nothing and changes nothing.
+        let mut robust = RobustBuilder::theorem_10_1(0.1).seed(7).crypto_f0();
+        for i in 0..2_000u64 {
+            robust.insert(i);
+        }
+        let before = robust.estimate();
+        for _ in 0..10 {
+            for i in 0..2_000u64 {
+                robust.insert(i);
+            }
+        }
+        assert_eq!(robust.estimate(), before);
+    }
+
+    #[test]
+    fn space_overhead_over_the_static_sketch_is_a_key() {
+        use ars_sketch::kmv::{KmvConfig, KmvFactory};
+        use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
+
+        let robust = RobustBuilder::theorem_10_1(0.1)
+            .stream_length(1 << 16)
+            .crypto_f0();
+        let static_sketch = MedianTrackingFactory {
+            inner: KmvFactory {
+                config: KmvConfig::for_accuracy(0.05),
+            },
+            config: MedianTrackingConfig::for_strong_tracking(0.05, 0.25, 1 << 16),
+        }
+        .build(0);
+        // The robust version costs at most the static sketch plus a few
+        // hundred bytes of key material (compare with the multiplicative
+        // lambda-factor blow-up of sketch switching).
+        assert!(robust.space_bytes() <= static_sketch.space_bytes() + 256);
+    }
+
+    #[test]
+    fn deletions_are_ignored() {
+        let mut robust = RobustBuilder::theorem_10_1(0.2).seed(9).crypto_f0();
+        robust.insert(1);
+        robust.update(Update::delete(1));
+        assert_eq!(robust.estimate(), 1.0);
+    }
+
+    #[test]
+    fn different_keys_give_different_internal_views_but_same_answers() {
+        let mut a = RobustBuilder::theorem_10_1(0.1).seed(1).crypto_f0();
+        let mut b = RobustBuilder::theorem_10_1(0.1).seed(2).crypto_f0();
+        for i in 0..5_000u64 {
+            a.insert(i);
+            b.insert(i);
+        }
+        let (ea, eb) = (a.estimate(), b.estimate());
+        assert!(((ea - eb) / eb).abs() < 0.2, "estimates {ea} vs {eb}");
+    }
+
+    #[test]
+    fn raw_publication_reports_no_flip_budget() {
+        let robust = RobustBuilder::theorem_10_1(0.2).crypto_f0();
+        assert_eq!(robust.flip_budget(), usize::MAX);
+        assert!(!robust.budget_exceeded());
+    }
+
+    fn worst_fp_tracking_error(
+        p: f64,
+        strategy: Strategy,
+        epsilon: f64,
+        m: usize,
+        seed: u64,
+    ) -> f64 {
+        let mut robust = RobustBuilder::new(epsilon)
+            .strategy(strategy)
+            .stream_length(m as u64)
+            .domain(1 << 12)
+            .max_frequency(1 << 16)
+            .seed(seed)
+            .fp(p);
+        let updates = ZipfGenerator::new(1 << 12, 1.1, seed).take_updates(m);
+        let mut truth = FrequencyVector::new();
+        let mut worst: f64 = 0.0;
+        for &u in &updates {
+            truth.apply(u);
+            robust.update(u);
+            let t = truth.fp(p);
+            if truth.updates_applied() >= 500 {
+                worst = worst.max(((robust.estimate() - t) / t).abs());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn robust_f2_by_sketch_switching_tracks() {
+        let worst = worst_fp_tracking_error(2.0, Strategy::SketchSwitching, 0.25, 10_000, 3);
+        assert!(worst <= 0.35, "worst-case error {worst}");
+    }
+
+    #[test]
+    fn robust_f1_by_sketch_switching_tracks() {
+        let worst = worst_fp_tracking_error(1.0, Strategy::SketchSwitching, 0.3, 8_000, 5);
+        assert!(worst <= 0.4, "worst-case error {worst}");
+    }
+
+    #[test]
+    fn robust_fp_by_computation_paths_tracks() {
+        let worst = worst_fp_tracking_error(1.5, Strategy::ComputationPaths, 0.25, 8_000, 7);
+        assert!(worst <= 0.35, "worst-case error {worst}");
+    }
+
+    #[test]
+    fn robust_fp_large_tracks_f3_on_skewed_streams() {
+        let p = 3.0;
+        let mut robust = RobustBuilder::new(0.3)
+            .domain(1 << 12)
+            .stream_length(20_000)
+            .seed(11)
+            .fp_large(p);
+        let updates = ZipfGenerator::new(1 << 12, 1.4, 11).take_updates(20_000);
+        let mut truth = FrequencyVector::new();
+        let mut worst: f64 = 0.0;
+        for &u in &updates {
+            truth.apply(u);
+            robust.update(u);
+            let t = truth.fp(p);
+            if truth.updates_applied() >= 2_000 {
+                worst = worst.max(((robust.estimate() - t) / t).abs());
+            }
+        }
+        assert!(worst <= 0.5, "worst-case F3 error {worst}");
+    }
+
+    #[test]
+    fn builders_expose_flip_numbers() {
+        let small_eps = RobustBuilder::new(0.05).fp_flip_number(1.0);
+        let large_eps = RobustBuilder::new(0.5).fp_flip_number(1.0);
+        assert!(small_eps > large_eps);
+        assert!(RobustBuilder::new(0.1).domain(1 << 16).fp_flip_number(4.0) > 0);
+    }
+
+    #[test]
+    fn space_reflects_the_method_tradeoff() {
+        // Sketch switching keeps many copies; computation paths keeps one
+        // (larger) copy. Both must at least report non-trivial space.
+        let switching = RobustBuilder::new(0.3).fp(2.0);
+        let paths = RobustBuilder::new(0.3)
+            .strategy(Strategy::ComputationPaths)
+            .fp(2.0);
+        assert!(switching.space_bytes() > 1_000);
+        assert!(paths.space_bytes() > 1_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "use fp_large for p > 2")]
+    fn robust_fp_rejects_large_p() {
+        let _ = RobustBuilder::new(0.1).fp(3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "use fp for p <= 2")]
+    fn robust_fp_large_rejects_small_p() {
+        let _ = RobustBuilder::new(0.1).fp_large(2.0);
+    }
+
+    #[test]
+    fn tracks_f2_through_insert_delete_waves() {
+        // Two full waves of 3000 items each: the F2 rises to 3000 and falls
+        // back to 0 twice. Flip number is about 2 * 2 * log_{1+eps}(3000).
+        let epsilon = 0.25;
+        let lambda = 2 * 2 * ((3000f64).ln() / (1.0_f64 + epsilon / 20.0).ln()).ceil() as usize;
+        let mut robust = RobustBuilder::new(epsilon)
+            .stream_length(20_000)
+            .domain(1 << 14)
+            .max_frequency(4)
+            .seed(3)
+            .turnstile_fp(2.0, lambda);
+        let updates = TurnstileWaveGenerator::new(3_000).take_updates(12_000);
+        let mut truth = FrequencyVector::new();
+        let mut worst: f64 = 0.0;
+        for &u in &updates {
+            truth.apply(u);
+            robust.update(u);
+            let t = truth.f2();
+            if t >= 300.0 {
+                worst = worst.max(((robust.estimate() - t) / t).abs());
+            }
+        }
+        assert!(worst <= 0.35, "worst-case error {worst}");
+        assert!(!robust.budget_exceeded(), "budget should cover two waves");
+    }
+
+    #[test]
+    fn budget_exceeded_flags_streams_outside_the_class() {
+        // Promise lambda = 3 but run a stream whose F2 doubles many times.
+        let mut robust = RobustBuilder::new(0.2)
+            .stream_length(10_000)
+            .seed(5)
+            .turnstile_fp(2.0, 3);
+        for i in 0..5_000u64 {
+            robust.insert(i);
+        }
+        assert!(robust.budget_exceeded());
+    }
+
+    #[test]
+    fn negative_frequencies_are_handled() {
+        // Drive a coordinate negative: F2 must still be tracked since the
+        // p-stable sketch is linear.
+        let mut robust = RobustBuilder::new(0.3)
+            .stream_length(1_000)
+            .seed(7)
+            .turnstile_fp(2.0, 100);
+        let mut truth = FrequencyVector::new();
+        for _ in 0..100 {
+            let u = Update::new(1, -1);
+            truth.apply(u);
+            robust.update(u);
+        }
+        let t = truth.f2();
+        let est = robust.estimate();
+        assert!(((est - t) / t).abs() <= 0.35, "estimate {est} vs truth {t}");
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda must be in [1, inf)")]
+    fn zero_lambda_is_rejected() {
+        let _ = RobustBuilder::new(0.2).turnstile_fp(1.0, 0);
+    }
+
+    #[test]
+    fn tracks_f1_on_bounded_deletion_streams() {
+        let alpha = 2.0;
+        let mut robust = RobustBuilder::new(0.25)
+            .stream_length(15_000)
+            .domain(1 << 14)
+            .max_frequency(4)
+            .seed(3)
+            .bounded_deletion_fp(1.0, alpha);
+        let updates = BoundedDeletionGenerator::new(alpha, 500, 7).take_updates(15_000);
+        // Confirm the generator respects the model it claims.
+        StreamValidator::new(StreamModel::bounded_deletion(alpha, 1.0))
+            .apply_all(&updates)
+            .expect("generator stays in model");
+        let mut truth = FrequencyVector::new();
+        let mut worst: f64 = 0.0;
+        for &u in &updates {
+            truth.apply(u);
+            robust.update(u);
+            let t = truth.l1();
+            if t >= 200.0 {
+                worst = worst.max(((robust.estimate() - t) / t).abs());
+            }
+        }
+        assert!(worst <= 0.35, "worst-case error {worst}");
+    }
+
+    #[test]
+    fn tracks_f2_on_bounded_deletion_streams() {
+        let alpha = 3.0;
+        let mut robust = RobustBuilder::new(0.3)
+            .stream_length(12_000)
+            .domain(1 << 14)
+            .max_frequency(4)
+            .seed(5)
+            .bounded_deletion_fp(2.0, alpha);
+        let updates = BoundedDeletionGenerator::new(alpha, 400, 11).take_updates(12_000);
+        let mut truth = FrequencyVector::new();
+        let mut worst: f64 = 0.0;
+        for &u in &updates {
+            truth.apply(u);
+            robust.update(u);
+            let t = truth.f2();
+            if t >= 200.0 {
+                worst = worst.max(((robust.estimate() - t) / t).abs());
+            }
+        }
+        assert!(worst <= 0.4, "worst-case error {worst}");
+    }
+
+    #[test]
+    fn flip_number_grows_with_alpha_and_inverse_epsilon() {
+        let base = RobustBuilder::new(0.2).bounded_deletion_flip_number(1.0, 2.0);
+        let more_deletions = RobustBuilder::new(0.2).bounded_deletion_flip_number(1.0, 8.0);
+        let finer = RobustBuilder::new(0.05).bounded_deletion_flip_number(1.0, 2.0);
+        assert!(more_deletions > base);
+        assert!(finer > base);
+    }
+
+    #[test]
+    fn output_changes_stay_within_budget_on_model_streams() {
+        let alpha = 2.0;
+        let mut robust = RobustBuilder::new(0.3)
+            .stream_length(10_000)
+            .domain(1 << 12)
+            .max_frequency(4)
+            .seed(13)
+            .bounded_deletion_fp(1.0, alpha);
+        for u in BoundedDeletionGenerator::new(alpha, 300, 17).take_updates(10_000) {
+            robust.update(u);
+        }
+        assert!(
+            robust.output_changes() <= robust.flip_budget(),
+            "output changed {} times, budget {}",
+            robust.output_changes(),
+            robust.flip_budget()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Theorem 8.3")]
+    fn rejects_p_outside_range() {
+        let _ = RobustBuilder::new(0.1).bounded_deletion_fp(0.5, 2.0);
     }
 }

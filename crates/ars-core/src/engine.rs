@@ -18,7 +18,7 @@
 //! * computation paths ([`crate::computation_paths::ComputationPaths`])
 //!   keeps a single tiny-δ copy and does nothing on publication — the
 //!   union bound over output sequences does the work;
-//! * the cryptographic route ([`crate::crypto_f0`]) masks items through a
+//! * the cryptographic route ([`crate::strategy::CryptoMaskStrategy`]) masks items through a
 //!   PRF and publishes raw estimates ([`RoundingMode::Raw`]).
 //!
 //! New strategies implement [`StrategyCore`] +

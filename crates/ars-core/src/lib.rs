@@ -91,32 +91,33 @@
 //!
 //! # Paper map
 //!
-//! | Type | Paper result |
-//! |---|---|
-//! | [`robust_f0::RobustF0`] | Theorems 1.1 and 1.2 (distinct elements) |
-//! | [`robust_fp::RobustFp`] | Theorems 1.4 and 1.5 (`F_p`, `0 < p ≤ 2`) |
-//! | [`robust_fp::RobustFpLarge`] | Theorem 1.7 (`F_p`, `p > 2`) |
-//! | [`robust_turnstile::RobustTurnstileFp`] | Theorem 1.6 (λ-flip turnstile) |
-//! | [`robust_heavy_hitters::RobustL2HeavyHitters`] | Theorem 1.9 (`L₂` heavy hitters) |
-//! | [`robust_entropy::RobustEntropy`] | Theorem 1.10 (entropy) |
-//! | [`robust_bounded_deletion::RobustBoundedDeletionFp`] | Theorem 1.11 (bounded deletions) |
-//! | [`crypto_f0::CryptoRobustF0`] | Theorem 10.1 (crypto / random oracle) |
-//! | [`dp_aggregation::DpAggregation`] | Hassidim et al. 2020 (`O(√λ)` DP pool) |
-//! | [`difference_estimators::DifferenceEstimators`] | Attias et al. 2022 (`O(log λ)` chunk pool) |
+//! Every scalar problem is one [`builder::RobustBuilder`] constructor
+//! returning the engine type [`engine::DynRobust`]; the strategy knob
+//! picks the route.
 //!
-//! Each of those modules is now a thin shim over the engine (the pre-engine
-//! per-problem builders remain as compatibility wrappers). The supporting
-//! machinery — ε-rounding ([`rounding`]) and flip-number bounds
-//! ([`flip_number`]) — is public as well, so new robust estimators can be
-//! assembled from any static sketch implementing
-//! [`ars_sketch::EstimatorFactory`].
+//! | Paper result | Constructor |
+//! |---|---|
+//! | Theorems 1.1 and 1.2 (distinct elements) | [`RobustBuilder::f0`] |
+//! | Theorems 1.4 and 1.5 (`F_p`, `0 < p ≤ 2`) | [`RobustBuilder::fp`] |
+//! | Theorem 1.7 (`F_p`, `p > 2`) | [`RobustBuilder::fp_large`] |
+//! | Theorem 1.6 (λ-flip turnstile `F_p`) | [`RobustBuilder::turnstile_fp`] |
+//! | Theorem 1.9 (`L₂` heavy hitters) | [`RobustBuilder::heavy_hitters`] (the bespoke [`robust_heavy_hitters::RobustL2HeavyHitters`]) |
+//! | Theorem 1.10 (entropy) | [`RobustBuilder::entropy`] |
+//! | Theorem 1.11 (bounded deletions) | [`RobustBuilder::bounded_deletion_fp`] |
+//! | Theorem 10.1 (crypto / random oracle) | [`RobustBuilder::crypto_f0`] (or `.strategy(Strategy::Crypto(..)).f0()`) |
+//! | Hassidim et al. 2020 (`O(√λ)` DP pool) | `.strategy(Strategy::DpAggregation)` → [`dp_aggregation::DpAggregation`] |
+//! | Attias et al. 2022 (`O(log λ)` chunk pool) | `.strategy(Strategy::DifferenceEstimators)` → [`difference_estimators::DifferenceEstimators`] |
+//!
+//! The supporting machinery — ε-rounding ([`rounding`]) and flip-number
+//! bounds ([`flip_number`]) — is public as well, so new robust estimators
+//! can be assembled from any static sketch implementing
+//! [`ars_sketch::EstimatorFactory`] through [`RobustBuilder::custom`].
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod builder;
 pub mod computation_paths;
-pub mod crypto_f0;
 pub mod difference_estimators;
 pub mod dp_aggregation;
 pub mod engine;
@@ -126,12 +127,8 @@ pub mod flip_number;
 pub mod json;
 pub mod manager;
 pub mod registry;
-pub mod robust_bounded_deletion;
 pub mod robust_entropy;
-pub mod robust_f0;
-pub mod robust_fp;
 pub mod robust_heavy_hitters;
-pub mod robust_turnstile;
 pub mod rounding;
 pub mod session;
 pub mod sketch_switch;
@@ -141,7 +138,6 @@ pub mod strategy;
 pub use api::RobustEstimator;
 pub use builder::{RobustBuilder, Strategy};
 pub use computation_paths::{ComputationPaths, ComputationPathsConfig};
-pub use crypto_f0::{CryptoBackend, CryptoRobustF0, CryptoRobustF0Builder};
 pub use difference_estimators::{
     ChunkScheduleInfo, DifferenceEstimators, DifferenceEstimatorsStrategy, DifferenceSchedule,
 };
@@ -151,18 +147,15 @@ pub use error::{ArsError, BuildError};
 pub use estimate::{Estimate, FlipBudget, Guarantee, Health};
 pub use flip_number::{empirical_flip_number, FlipNumberBound};
 pub use json::{escape_into, JsonError, JsonValue, JsonWriter};
-pub use manager::{Provisioner, SessionManager, TenantHealth};
+pub use manager::{SessionManager, TenantHealth};
 pub use registry::{standard_registry, RegistryEntry, RegistryParams};
-pub use robust_bounded_deletion::{RobustBoundedDeletionFp, RobustBoundedDeletionFpBuilder};
-pub use robust_entropy::{EntropyMethod, RobustEntropy, RobustEntropyBuilder};
-pub use robust_f0::{F0Method, RobustF0, RobustF0Builder};
-pub use robust_fp::{FpMethod, RobustFp, RobustFpBuilder, RobustFpLarge, RobustFpLargeBuilder};
-pub use robust_heavy_hitters::{RobustL2HeavyHitters, RobustL2HeavyHittersBuilder};
-pub use robust_turnstile::{RobustTurnstileFp, RobustTurnstileFpBuilder};
+pub use robust_entropy::EntropyMethod;
+pub use robust_heavy_hitters::RobustL2HeavyHitters;
 pub use rounding::{round_to_power, EpsilonRounder};
 pub use session::StreamSession;
 pub use sketch_switch::{SketchSwitch, SketchSwitchConfig, SwitchStrategy};
 pub use spec::{ProblemSpec, ProvisionerSpec};
 pub use strategy::{
-    ComputationPathsStrategy, CryptoMaskStrategy, PoolPolicy, RobustStrategy, SketchSwitchStrategy,
+    ComputationPathsStrategy, CryptoBackend, CryptoMaskStrategy, PoolPolicy, RobustStrategy,
+    SketchSwitchStrategy,
 };

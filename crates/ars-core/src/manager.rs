@@ -10,25 +10,24 @@
 //! spendable budget; a serving system must therefore treat exhaustion as an
 //! operational event, not a terminal state. The manager's answer is the
 //! re-provisioning path: when a tenant's reading goes budget-exhausted, a
-//! fresh estimator is built with a **doubled λ** through the tenant's
-//! [`Provisioner`], the session's exact frequency state is replayed into it
-//! (one batch — at most one publication), and the estimator is swapped
-//! under the unchanged validator. Sessions on the stateless validation tier
-//! keep no exact state to replay; re-provisioning them fails with the typed
-//! [`ArsError::StateUnavailable`] — the documented price of the `O(1)`
-//! fast path.
+//! fresh estimator is built with a **doubled λ** from the tenant's
+//! [`ProvisionerSpec`], the session's exact frequency state is replayed
+//! into it (one batch — at most one publication), and the estimator is
+//! swapped under the unchanged validator. Sessions on the stateless
+//! validation tier keep no exact state to replay; re-provisioning them
+//! fails with the typed [`ArsError::StateUnavailable`] — the documented
+//! price of the `O(1)` fast path.
 //!
 //! ```
-//! use ars_core::{RobustBuilder, SessionManager, StreamSession};
-//! use ars_stream::{StreamModel, Update};
+//! use ars_core::{ProblemSpec, ProvisionerSpec, SessionManager};
+//! use ars_stream::Update;
 //!
-//! let builder = RobustBuilder::new(0.2).stream_length(10_000).seed(7);
+//! let spec = ProvisionerSpec::new(ProblemSpec::F0, 0.2)
+//!     .stream_length(10_000)
+//!     .seed(7)
+//!     .stateless();
 //! let mut manager = SessionManager::new();
-//! manager.register(
-//!     "edge-us",
-//!     StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.f0())),
-//!     Box::new(move |_lambda| Box::new(builder.f0())),
-//! );
+//! manager.register_spec("edge-us", spec).unwrap();
 //! for i in 0..500u64 {
 //!     manager.update("edge-us", Update::insert(i)).unwrap();
 //! }
@@ -41,7 +40,6 @@ use std::collections::BTreeMap;
 
 use ars_stream::{Update, ValidationTier};
 
-use crate::api::RobustEstimator;
 use crate::engine::PublicationState;
 use crate::error::ArsError;
 use crate::estimate::{Estimate, FlipBudget, Health};
@@ -49,23 +47,12 @@ use crate::json::{JsonValue, JsonWriter};
 use crate::session::StreamSession;
 use crate::spec::ProvisionerSpec;
 
-/// Factory a tenant re-provisions through: given the flip budget λ the
-/// manager wants provisioned, build a fresh estimator for the tenant's
-/// problem. For problems whose λ is an explicit promise (the turnstile
-/// route) the factory should pass it straight through; for problems whose
-/// λ is analytic the factory may incorporate it via
-/// [`crate::builder::RobustBuilder::custom`] or ignore the hint — a fresh
-/// pool with reset flip accounting is still a meaningful recovery.
-pub type Provisioner = Box<dyn FnMut(usize) -> Box<dyn RobustEstimator> + Send>;
-
 struct Tenant {
     session: StreamSession,
-    provision: Provisioner,
     reprovisions: usize,
-    /// The declarative spec the tenant was registered from, when there is
-    /// one. Closure-registered tenants have none — they serve and
-    /// re-provision normally but cannot be carried through a snapshot.
-    spec: Option<ProvisionerSpec>,
+    /// The declarative spec the tenant was registered from: it rebuilds
+    /// the estimator on re-provisioning and travels in snapshots.
+    spec: ProvisionerSpec,
 }
 
 impl Tenant {
@@ -87,8 +74,8 @@ impl Tenant {
         let raw = self.session.estimator().flip_budget();
         let lambda = match FlipBudget::from_raw(raw) {
             // An unbounded budget never exhausts: there is no lambda to
-            // double and nothing to recover from, and handing the factory
-            // the usize::MAX sentinel would let it size a pool by it.
+            // double and nothing to recover from, and building at the
+            // usize::MAX sentinel would size a pool by it.
             FlipBudget::Unbounded => {
                 return Err(ArsError::StateUnavailable {
                     reason: "the flip budget is unbounded and can never exhaust; \
@@ -97,7 +84,7 @@ impl Tenant {
             }
             // Clamped below usize::MAX so repeated doubling can never
             // saturate into the sentinel FlipBudget reads as Unbounded
-            // (and that the provisioner must never be handed).
+            // (and that the spec must never be built at).
             FlipBudget::Bounded(lambda) => lambda.saturating_mul(2).clamp(1, usize::MAX - 1),
         };
         let Some(frequency) = self.session.frequency() else {
@@ -111,7 +98,7 @@ impl Tenant {
         // state the true stream would have left (the exact vector is a
         // sufficient statistic for the tracked quantity).
         let replay: Vec<Update> = frequency.iter().map(|(i, c)| Update::new(i, c)).collect();
-        let mut fresh = (self.provision)(lambda);
+        let mut fresh = self.spec.build(Some(lambda))?;
         // One batch: the engine publishes at most once, so the rebuilt
         // estimator starts with its doubled budget essentially unspent.
         fresh.update_batch(&replay);
@@ -158,57 +145,20 @@ pub struct TenantHealth {
 #[derive(Default)]
 pub struct SessionManager {
     tenants: BTreeMap<String, Tenant>,
-    auto_reprovision: bool,
 }
 
 impl SessionManager {
-    /// Creates an empty manager with automatic re-provisioning enabled.
+    /// Creates an empty manager.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            tenants: BTreeMap::new(),
-            auto_reprovision: true,
-        }
-    }
-
-    /// Enables or disables the automatic re-provisioning of
-    /// budget-exhausted tenants on the ingestion path. Disabled, exhaustion
-    /// simply surfaces through readings and the health report, and
-    /// [`SessionManager::reprovision`] remains available manually.
-    #[must_use]
-    pub fn with_auto_reprovision(mut self, enabled: bool) -> Self {
-        self.auto_reprovision = enabled;
-        self
-    }
-
-    /// Registers a named session with its re-provisioning factory. A tenant
-    /// already registered under `name` is replaced and its session
-    /// returned.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        session: StreamSession,
-        provision: Provisioner,
-    ) -> Option<StreamSession> {
-        self.tenants
-            .insert(
-                name.into(),
-                Tenant {
-                    session,
-                    provision,
-                    reprovisions: 0,
-                    spec: None,
-                },
-            )
-            .map(|t| t.session)
+        Self::default()
     }
 
     /// Registers a tenant from a declarative [`ProvisionerSpec`]: the spec
     /// is validated by building the initial estimator, the session enforces
     /// [`ProvisionerSpec::model`] (with exact state unless the spec opted
-    /// out), and the spec itself becomes the re-provisioning factory. Spec
-    /// tenants — unlike closure-registered ones — survive
-    /// [`SessionManager::snapshot_json`] / [`SessionManager::restore_json`].
+    /// out), and the spec itself rebuilds the estimator on
+    /// re-provisioning and travels in [`SessionManager::snapshot_json`].
     /// A tenant already registered under `name` is replaced and its session
     /// returned.
     pub fn register_spec(
@@ -227,19 +177,18 @@ impl SessionManager {
                 name.into(),
                 Tenant {
                     session,
-                    provision: spec.provisioner(),
                     reprovisions: 0,
-                    spec: Some(spec),
+                    spec,
                 },
             )
             .map(|t| t.session))
     }
 
-    /// The declarative spec the named tenant was registered from, if it was
-    /// registered through [`SessionManager::register_spec`].
+    /// The declarative spec the named tenant was registered from, or
+    /// `None` for an unknown name.
     #[must_use]
     pub fn spec(&self, name: &str) -> Option<&ProvisionerSpec> {
-        self.tenants.get(name).and_then(|t| t.spec.as_ref())
+        self.tenants.get(name).map(|t| &t.spec)
     }
 
     /// Removes a tenant, returning its session.
@@ -282,16 +231,14 @@ impl SessionManager {
     /// Routes one update to the named tenant. Model violations surface as
     /// [`ArsError::Stream`] exactly as on the session itself; on success
     /// the tenant's health after the update is returned — and if that
-    /// health is [`Health::BudgetExhausted`] with automatic re-provisioning
-    /// enabled, the estimator is rebuilt first (λ doubled, state replayed)
-    /// and the post-rebuild health returned. A tenant whose tier keeps no
-    /// exact state cannot be auto-rebuilt; it stays degraded and reports
-    /// `BudgetExhausted`.
+    /// health is [`Health::BudgetExhausted`], the estimator is rebuilt
+    /// first (λ doubled, state replayed) and the post-rebuild health
+    /// returned. A tenant whose tier keeps no exact state cannot be
+    /// auto-rebuilt; it stays degraded and reports `BudgetExhausted`.
     pub fn update(&mut self, name: &str, update: Update) -> Result<Health, ArsError> {
-        let auto = self.auto_reprovision;
         let tenant = self.tenant_mut(name)?;
         tenant.session.update(update)?;
-        if auto && tenant.health() == Health::BudgetExhausted {
+        if tenant.health() == Health::BudgetExhausted {
             // Best-effort: a stateless tenant keeps no state to replay;
             // the degraded health below is the signal.
             let _ = tenant.reprovision();
@@ -303,10 +250,9 @@ impl SessionManager {
     /// hot path, with the same auto-re-provisioning contract as
     /// [`SessionManager::update`]. Returns the number of updates ingested.
     pub fn update_batch(&mut self, name: &str, updates: &[Update]) -> Result<usize, ArsError> {
-        let auto = self.auto_reprovision;
         let tenant = self.tenant_mut(name)?;
         let ingested = tenant.session.update_batch(updates)?;
-        if auto && tenant.health() == Health::BudgetExhausted {
+        if tenant.health() == Health::BudgetExhausted {
             let _ = tenant.reprovision();
         }
         Ok(ingested)
@@ -325,8 +271,9 @@ impl SessionManager {
     /// Manually re-provisions the named tenant: doubled λ, exact state
     /// replayed, estimator swapped. Returns the λ provisioned. Fails with
     /// [`ArsError::StateUnavailable`] when the tenant's validation tier
-    /// keeps no exact state, and [`ArsError::UnknownSession`] for unknown
-    /// names.
+    /// keeps no exact state, [`ArsError::UnknownSession`] for unknown
+    /// names, and with the spec's own build error if it cannot be built at
+    /// the doubled λ.
     pub fn reprovision(&mut self, name: &str) -> Result<usize, ArsError> {
         self.tenant_mut(name)?.reprovision()
     }
@@ -384,16 +331,15 @@ impl SessionManager {
     }
 
     /// Serializes the whole fleet for snapshot/restore: for every tenant
-    /// its name, registration spec (or `null` for closure-registered
-    /// tenants, which cannot be carried across), provisioned λ, publication
-    /// accounting (flip ledger and the ε-rounding anchor, when the
-    /// estimator exposes the [`PublicationState`] seam), re-provision
-    /// count, exact frequency state (item-sorted for determinism; `null`
-    /// on stateless sessions) and the current reading.
+    /// its name, registration spec, provisioned λ, publication accounting
+    /// (flip ledger and the ε-rounding anchor, when the estimator exposes
+    /// the [`PublicationState`] seam), re-provision count, exact frequency
+    /// state (item-sorted for determinism; `null` on stateless sessions)
+    /// and the current reading.
     ///
     /// [`SessionManager::restore_json`] rebuilds a manager from this
-    /// document; for spec-registered tenants with exact state the restored
-    /// readings are **bitwise identical** for every estimator exposing the
+    /// document; for tenants with exact state the restored readings are
+    /// **bitwise identical** for every estimator exposing the
     /// publication seam (the engine-backed ones — the bespoke heavy-hitters
     /// structure restores to a within-guarantee reading instead).
     #[must_use]
@@ -410,15 +356,12 @@ impl SessionManager {
                 w.raw(",");
             }
             let estimator = tenant.session.estimator();
-            w.raw("{").key("name").string(name).raw(",").key("spec");
-            match &tenant.spec {
-                Some(spec) => {
-                    w.raw(&spec.to_json());
-                }
-                None => {
-                    w.null();
-                }
-            }
+            w.raw("{")
+                .key("name")
+                .string(name)
+                .raw(",")
+                .key("spec")
+                .raw(&tenant.spec.to_json());
             // Raw-token integer: λ may be the usize::MAX - 1 doubling clamp,
             // which does not survive an f64 round trip.
             w.raw(",")
@@ -479,9 +422,9 @@ impl SessionManager {
     /// spec (at the snapshotted λ, so a doubled budget survives), replayed
     /// from its exact frequency state and handed its publication accounting
     /// back **before** the manager is touched — a malformed snapshot is a
-    /// typed [`ArsError::Wire`] with the manager unchanged. A snapshot row
-    /// with `"spec": null` (a closure-registered tenant) cannot be rebuilt
-    /// and is reported the same way.
+    /// typed [`ArsError::Wire`] with the manager unchanged. A row whose
+    /// spec is missing or `null` cannot be rebuilt and is reported the same
+    /// way.
     pub fn restore_json(&mut self, text: &str) -> Result<usize, ArsError> {
         fn wire(reason: String) -> ArsError {
             ArsError::Wire { reason }
@@ -507,8 +450,8 @@ impl SessionManager {
             let spec = match row.get("spec") {
                 Some(JsonValue::Null) | None => {
                     return Err(wire(format!(
-                        "snapshot: tenant {name:?} was registered from a closure, not a \
-                         provisioner spec; it cannot be restored"
+                        "snapshot: tenant {name:?} has no provisioner spec; it cannot be \
+                         restored"
                     )))
                 }
                 Some(node) => ProvisionerSpec::from_value(node)
@@ -603,9 +546,8 @@ impl SessionManager {
                 name,
                 Tenant {
                     session,
-                    provision: spec.provisioner(),
                     reprovisions,
-                    spec: Some(spec),
+                    spec,
                 },
             ));
         }
@@ -622,7 +564,6 @@ impl std::fmt::Debug for SessionManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionManager")
             .field("tenants", &self.names())
-            .field("auto_reprovision", &self.auto_reprovision)
             .finish()
     }
 }
@@ -630,37 +571,31 @@ impl std::fmt::Debug for SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::RobustBuilder;
+    use crate::spec::ProblemSpec;
+    use crate::strategy::CryptoBackend;
+    use crate::Strategy;
     use ars_stream::generator::{Generator, TurnstileWaveGenerator};
-    use ars_stream::StreamModel;
 
-    fn f0_builder() -> RobustBuilder {
-        RobustBuilder::new(0.2)
+    fn f0_spec() -> ProvisionerSpec {
+        ProvisionerSpec::new(ProblemSpec::F0, 0.2)
             .stream_length(20_000)
             .domain(1 << 12)
             .seed(11)
     }
 
+    /// A manager with one stateless-tier F0 tenant.
     fn manager_with_f0(name: &str) -> SessionManager {
-        let builder = f0_builder();
         let mut manager = SessionManager::new();
-        manager.register(
-            name,
-            StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.f0())),
-            Box::new(move |_| Box::new(builder.f0())),
-        );
+        manager.register_spec(name, f0_spec().stateless()).unwrap();
         manager
     }
 
     #[test]
     fn routes_updates_and_queries_by_name() {
         let mut manager = manager_with_f0("tenant-a");
-        let builder = f0_builder().seed(13);
-        manager.register(
-            "tenant-b",
-            StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.f0())),
-            Box::new(move |_| Box::new(builder.f0())),
-        );
+        manager
+            .register_spec("tenant-b", f0_spec().seed(13).stateless())
+            .unwrap();
         assert_eq!(manager.len(), 2);
         assert_eq!(manager.names(), vec!["tenant-a", "tenant-b"]);
 
@@ -697,12 +632,9 @@ mod tests {
     #[test]
     fn health_report_covers_every_tenant_in_name_order() {
         let mut manager = manager_with_f0("zeta");
-        let builder = f0_builder().seed(17);
-        manager.register(
-            "alpha",
-            StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.f0())),
-            Box::new(move |_| Box::new(builder.f0())),
-        );
+        manager
+            .register_spec("alpha", f0_spec().seed(17).stateless())
+            .unwrap();
         manager.update("zeta", Update::insert(1)).unwrap();
         // Violate alpha's promise so the report distinguishes the two.
         let _ = manager.update("alpha", Update::delete(1));
@@ -745,22 +677,19 @@ mod tests {
         // rebuild it with doubled lambda from the session's exact state
         // and keep the readings trustworthy.
         let lambda0 = 2usize;
-        let builder = RobustBuilder::new(0.25)
-            .stream_length(20_000)
-            .domain(1 << 10)
-            .max_frequency(64)
-            .seed(23);
-        let session = StreamSession::new(
-            StreamModel::Turnstile,
-            Box::new(builder.turnstile_fp(2.0, lambda0)),
+        let spec = ProvisionerSpec::new(
+            ProblemSpec::TurnstileFp {
+                p: 2.0,
+                lambda: lambda0,
+            },
+            0.25,
         )
-        .with_exact_state();
+        .stream_length(20_000)
+        .domain(1 << 10)
+        .max_frequency(64)
+        .seed(23);
         let mut manager = SessionManager::new();
-        manager.register(
-            "waves",
-            session,
-            Box::new(move |lambda| Box::new(builder.turnstile_fp(2.0, lambda))),
-        );
+        manager.register_spec("waves", spec).unwrap();
 
         let mut saw_exhaustion_heal = false;
         for u in TurnstileWaveGenerator::new(400).take_updates(6_000) {
@@ -815,18 +744,17 @@ mod tests {
     #[test]
     fn unbounded_budget_tenants_refuse_reprovisioning_without_calling_the_factory() {
         // The crypto route needs no flip budget; re-provisioning it is
-        // meaningless, and the factory must never be handed the usize::MAX
-        // sentinel as a lambda to size a pool by.
-        let builder = f0_builder();
+        // meaningless, and the spec must never be built at the usize::MAX
+        // sentinel as a lambda to size a pool by. (A build would succeed —
+        // the crypto route ignores the hint — so a zero re-provision count
+        // proves the spec was never called.)
+        let spec = ProvisionerSpec {
+            problem: ProblemSpec::CryptoF0,
+            ..f0_spec()
+        }
+        .strategy(Strategy::Crypto(CryptoBackend::default()));
         let mut manager = SessionManager::new();
-        manager.register(
-            "crypto",
-            StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.crypto_f0()))
-                .with_exact_state(),
-            Box::new(|lambda| {
-                panic!("the provisioner must not be invoked (got lambda = {lambda})")
-            }),
-        );
+        manager.register_spec("crypto", spec).unwrap();
         manager.update("crypto", Update::insert(1)).unwrap();
         match manager.reprovision("crypto") {
             Err(ArsError::StateUnavailable { reason }) => {
@@ -839,8 +767,6 @@ mod tests {
 
     #[test]
     fn spec_tenants_snapshot_and_restore_bitwise() {
-        use crate::spec::{ProblemSpec, ProvisionerSpec};
-
         // A spec-registered turnstile tenant driven past exhaustion (so the
         // snapshot carries a doubled lambda and a non-trivial flip ledger)
         // plus a spec-registered F0 tenant.
@@ -904,8 +830,6 @@ mod tests {
 
     #[test]
     fn restored_tenants_keep_serving_and_reprovisioning() {
-        use crate::spec::{ProblemSpec, ProvisionerSpec};
-
         let mut manager = SessionManager::new();
         let spec = ProvisionerSpec::new(ProblemSpec::TurnstileFp { p: 2.0, lambda: 2 }, 0.25)
             .stream_length(40_000)
@@ -934,28 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn closure_tenants_do_not_survive_a_snapshot() {
-        let manager = manager_with_f0("legacy");
-        let snapshot = manager.snapshot_json();
-        assert!(snapshot.contains("\"spec\":null"), "{snapshot}");
-        let mut restored = SessionManager::new();
-        match restored.restore_json(&snapshot) {
-            Err(ArsError::Wire { reason }) => {
-                assert!(reason.contains("legacy"), "{reason}");
-                assert!(reason.contains("closure"), "{reason}");
-            }
-            other => panic!("expected Wire, got {other:?}"),
-        }
-        assert!(
-            restored.is_empty(),
-            "a failed restore must not insert tenants"
-        );
-    }
-
-    #[test]
     fn restore_rejects_malformed_snapshots_without_touching_the_manager() {
-        use crate::spec::{ProblemSpec, ProvisionerSpec};
-
         let mut manager = SessionManager::new();
         manager
             .register_spec("keep", ProvisionerSpec::new(ProblemSpec::F0, 0.2))
@@ -966,6 +869,10 @@ mod tests {
             ("{\"version\":2,\"tenants\":[]}", "unsupported version"),
             ("{\"version\":1}", "tenants"),
             ("{\"version\":1,\"tenants\":[{\"spec\":null}]}", "name"),
+            (
+                "{\"version\":1,\"tenants\":[{\"name\":\"x\",\"spec\":null,\"lambda\":4}]}",
+                "no provisioner spec",
+            ),
             (
                 "{\"version\":1,\"tenants\":[{\"name\":\"x\",\"spec\":{\"problem\":\"f0\",\
                  \"epsilon\":0.2}}]}",
@@ -988,15 +895,8 @@ mod tests {
 
     #[test]
     fn manual_reprovision_replays_exact_state() {
-        let builder = f0_builder();
-        let session = StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.f0()))
-            .with_exact_state();
-        let mut manager = SessionManager::new().with_auto_reprovision(false);
-        manager.register(
-            "replayed",
-            session,
-            Box::new(move |_| Box::new(builder.seed(77).f0())),
-        );
+        let mut manager = SessionManager::new();
+        manager.register_spec("replayed", f0_spec()).unwrap();
         for i in 0..800u64 {
             manager.update("replayed", Update::insert(i % 250)).unwrap();
         }

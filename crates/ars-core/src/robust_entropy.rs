@@ -9,14 +9,12 @@
 //! insertion-only streams by `poly(ε^{-1}, log n)`. So the robust algorithm
 //! is: exponentiate the static entropy estimate, sketch-switch the
 //! exponentials through the generic engine, and take a logarithm before
-//! answering.
+//! answering. [`crate::builder::RobustBuilder::entropy`] assembles exactly
+//! that from the adapters below; the engine's additive plan applies the
+//! `2^H → H` logarithm in its readings.
 
 use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
-
-use crate::api::RobustEstimator;
-use crate::builder::RobustBuilder;
-use crate::engine::DynRobust;
 
 /// Adapter exposing `2^{inner estimate}` as the tracked quantity, so the
 /// multiplicative sketch-switching wrapper can drive an additive guarantee.
@@ -83,180 +81,10 @@ pub enum EntropyMethod {
     Sampled,
 }
 
-/// Builder for [`RobustEntropy`] — a thin compatibility wrapper over
-/// [`RobustBuilder`]; prefer `RobustBuilder::new(eps).entropy()` in new
-/// code.
-#[derive(Debug, Clone, Copy)]
-pub struct RobustEntropyBuilder {
-    inner: RobustBuilder,
-}
-
-impl RobustEntropyBuilder {
-    /// Starts a builder for an ε-additive robust entropy estimator.
-    #[must_use]
-    pub fn new(epsilon: f64) -> Self {
-        Self {
-            inner: RobustBuilder::new(epsilon).domain(1 << 20),
-        }
-    }
-
-    /// Overall failure probability δ.
-    #[must_use]
-    pub fn delta(mut self, delta: f64) -> Self {
-        self.inner = self.inner.delta(delta);
-        self
-    }
-
-    /// Domain size `n`.
-    #[must_use]
-    pub fn domain(mut self, n: u64) -> Self {
-        self.inner = self.inner.domain(n.max(4));
-        self
-    }
-
-    /// Maximum stream length `m`.
-    #[must_use]
-    pub fn stream_length(mut self, m: u64) -> Self {
-        self.inner = self.inner.stream_length(m.max(4));
-        self
-    }
-
-    /// Seed for all randomness.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Selects the static estimator backend.
-    #[must_use]
-    pub fn method(mut self, method: EntropyMethod) -> Self {
-        self.inner = self.inner.entropy_method(method);
-        self
-    }
-
-    /// The flip-number budget of `2^{H}` (Proposition 7.2).
-    #[must_use]
-    pub fn flip_number(&self) -> usize {
-        self.inner.entropy_flip_number()
-    }
-
-    /// Builds the robust entropy estimator.
-    #[must_use]
-    pub fn build(self) -> RobustEntropy {
-        self.inner.entropy()
-    }
-}
-
-/// An adversarially robust (additively approximate) Shannon-entropy
-/// estimator for insertion-only streams: a thin shim over the generic
-/// engine tracking `2^{H(f)}`, answering in bits.
-#[derive(Debug)]
-pub struct RobustEntropy {
-    engine: DynRobust,
-    method: EntropyMethod,
-}
-
-impl RobustEntropy {
-    pub(crate) fn from_engine(engine: DynRobust, method: EntropyMethod) -> Self {
-        Self { engine, method }
-    }
-
-    /// Processes one stream update.
-    pub fn update(&mut self, update: Update) {
-        Estimator::update(&mut self.engine, update);
-    }
-
-    /// Processes a unit insertion.
-    pub fn insert(&mut self, item: u64) {
-        self.update(Update::insert(item));
-    }
-
-    /// The current entropy estimate in bits. The engine's additive plan
-    /// already takes the `2^H → H` logarithm (the Section 7 reduction), so
-    /// this is the engine's published value as-is.
-    #[must_use]
-    pub fn estimate(&self) -> f64 {
-        Estimator::estimate(&self.engine)
-    }
-
-    /// The current typed reading: entropy in bits with the additive `± ε`
-    /// guarantee interval.
-    #[must_use]
-    pub fn query(&self) -> crate::estimate::Estimate {
-        RobustEstimator::query(&self.engine)
-    }
-
-    /// The static backend in use.
-    #[must_use]
-    pub fn method(&self) -> EntropyMethod {
-        self.method
-    }
-
-    /// The additive approximation parameter ε (bits).
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        RobustEstimator::epsilon(&self.engine)
-    }
-
-    /// Memory footprint in bytes.
-    #[must_use]
-    pub fn space_bytes(&self) -> usize {
-        Estimator::space_bytes(&self.engine)
-    }
-}
-
-// Entropy answers in bits while its engine tracks 2^H; the engine's
-// additive plan applies the log transform in `query()`, and these impls
-// forward to it (kept by hand rather than via the delegation macro for the
-// inherent-method naming).
-impl Estimator for RobustEntropy {
-    fn update(&mut self, update: Update) {
-        RobustEntropy::update(self, update);
-    }
-
-    fn estimate(&self) -> f64 {
-        RobustEntropy::estimate(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        RobustEntropy::space_bytes(self)
-    }
-}
-
-impl RobustEstimator for RobustEntropy {
-    fn update_batch(&mut self, updates: &[Update]) {
-        RobustEstimator::update_batch(&mut self.engine, updates);
-    }
-
-    fn epsilon(&self) -> f64 {
-        RobustEstimator::epsilon(&self.engine)
-    }
-
-    fn output_changes(&self) -> usize {
-        RobustEstimator::output_changes(&self.engine)
-    }
-
-    fn flip_budget(&self) -> usize {
-        RobustEstimator::flip_budget(&self.engine)
-    }
-
-    fn copies(&self) -> usize {
-        RobustEstimator::copies(&self.engine)
-    }
-
-    fn query(&self) -> crate::estimate::Estimate {
-        RobustEntropy::query(self)
-    }
-
-    fn strategy_name(&self) -> &'static str {
-        RobustEstimator::strategy_name(&self.engine)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::RobustBuilder;
     use ars_stream::generator::{Generator, ZipfGenerator};
     use ars_stream::FrequencyVector;
 
@@ -276,12 +104,12 @@ mod tests {
     #[test]
     fn sampled_backend_tracks_entropy_of_low_entropy_streams() {
         // 32 equally likely items: H = 5 bits throughout (after warm-up).
-        let mut robust = RobustEntropyBuilder::new(0.2)
-            .method(EntropyMethod::Sampled)
+        let mut robust = RobustBuilder::new(0.2)
+            .entropy_method(EntropyMethod::Sampled)
             .stream_length(20_000)
             .domain(64)
             .seed(3)
-            .build();
+            .entropy();
         let updates = ZipfGenerator::new(32, 0.01, 7).take_updates(20_000);
         let mut truth = FrequencyVector::new();
         let mut worst: f64 = 0.0;
@@ -297,12 +125,12 @@ mod tests {
 
     #[test]
     fn renyi_backend_produces_bounded_error_on_skewed_streams() {
-        let mut robust = RobustEntropyBuilder::new(0.3)
-            .method(EntropyMethod::Renyi)
+        let mut robust = RobustBuilder::new(0.3)
+            .entropy_method(EntropyMethod::Renyi)
             .stream_length(6_000)
             .domain(256)
             .seed(5)
-            .build();
+            .entropy();
         let updates = ZipfGenerator::new(256, 1.2, 11).take_updates(6_000);
         let mut truth = FrequencyVector::new();
         for &u in &updates {
@@ -318,14 +146,18 @@ mod tests {
 
     #[test]
     fn flip_number_budget_reflects_parameters() {
-        let coarse = RobustEntropyBuilder::new(0.5).domain(1 << 10).flip_number();
-        let fine = RobustEntropyBuilder::new(0.1).domain(1 << 10).flip_number();
+        let coarse = RobustBuilder::new(0.5)
+            .domain(1 << 10)
+            .entropy_flip_number();
+        let fine = RobustBuilder::new(0.1)
+            .domain(1 << 10)
+            .entropy_flip_number();
         assert!(fine > coarse);
     }
 
     #[test]
     fn empty_stream_has_zero_entropy() {
-        let robust = RobustEntropyBuilder::new(0.2).seed(9).build();
+        let robust = RobustBuilder::new(0.2).seed(9).entropy();
         assert_eq!(robust.estimate(), 0.0);
         assert!(robust.space_bytes() > 0);
     }

@@ -30,62 +30,9 @@ use ars_stream::Update;
 
 use crate::api::RobustEstimator;
 use crate::builder::{RobustBuilder, Strategy};
+use crate::engine::DynRobust;
 use crate::flip_number::FlipNumberBound;
-use crate::robust_fp::RobustFp;
 use crate::rounding::EpsilonRounder;
-
-/// Builder for [`RobustL2HeavyHitters`] — a thin compatibility wrapper over
-/// [`RobustBuilder`]; prefer `RobustBuilder::new(eps).heavy_hitters()` in
-/// new code.
-#[derive(Debug, Clone, Copy)]
-pub struct RobustL2HeavyHittersBuilder {
-    inner: RobustBuilder,
-}
-
-impl RobustL2HeavyHittersBuilder {
-    /// Starts a builder for the `(ε, δ)` robust `L₂` heavy-hitters /
-    /// point-query problem.
-    #[must_use]
-    pub fn new(epsilon: f64) -> Self {
-        Self {
-            inner: RobustBuilder::new(epsilon),
-        }
-    }
-
-    /// Overall failure probability δ.
-    #[must_use]
-    pub fn delta(mut self, delta: f64) -> Self {
-        self.inner = self.inner.delta(delta);
-        self
-    }
-
-    /// Domain size `n`.
-    #[must_use]
-    pub fn domain(mut self, n: u64) -> Self {
-        self.inner = self.inner.domain(n);
-        self
-    }
-
-    /// Maximum stream length `m`.
-    #[must_use]
-    pub fn stream_length(mut self, m: u64) -> Self {
-        self.inner = self.inner.stream_length(m);
-        self
-    }
-
-    /// Seed for all randomness.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Builds the robust heavy-hitters structure.
-    #[must_use]
-    pub fn build(self) -> RobustL2HeavyHitters {
-        self.inner.heavy_hitters()
-    }
-}
 
 /// The robust `L₂` heavy-hitters / point-query structure of Theorem 6.5.
 #[derive(Debug)]
@@ -93,7 +40,7 @@ pub struct RobustL2HeavyHitters {
     epsilon: f64,
     cs_config: CountSketchConfig,
     /// Robust F₂ estimator providing the norm estimates R_t.
-    norm_estimator: RobustFp,
+    norm_estimator: DynRobust,
     /// Rotating pool of point-query sketches.
     point_sketches: Vec<CountSketch>,
     /// Index of the copy that will be queried at the next switch.
@@ -283,11 +230,11 @@ mod tests {
     use ars_stream::FrequencyVector;
 
     fn build_small(epsilon: f64, seed: u64) -> RobustL2HeavyHitters {
-        RobustL2HeavyHittersBuilder::new(epsilon)
+        RobustBuilder::new(epsilon)
             .domain(1 << 13)
             .stream_length(20_000)
             .seed(seed)
-            .build()
+            .heavy_hitters()
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Declarative provisioner specs: [`ProblemSpec`] and [`ProvisionerSpec`].
 //!
-//! A [`crate::manager::SessionManager`] tenant re-provisions through a
-//! boxed closure ([`crate::manager::Provisioner`]) — flexible, but a
-//! closure cannot be serialized, so a manager built from closures cannot
-//! be snapshotted and restored, and a remote client cannot register a
-//! tenant at all. A [`ProvisionerSpec`] is the declarative equivalent: the
-//! problem, every builder knob, and the strategy override as plain data
-//! with a JSON wire form. From a spec the manager can derive everything a
-//! tenant needs — the [`ars_stream::StreamModel`] the session must
-//! enforce, a fresh estimator at any flip budget λ, and a
-//! [`crate::manager::Provisioner`] closure for the re-provisioning path —
-//! and a snapshot can embed the spec so a restored manager rebuilds the
-//! identical estimator (same seed, same parameters, hence the same
-//! deterministic sketch randomness).
+//! A [`ProvisionerSpec`] is the one way to register a
+//! [`crate::manager::SessionManager`] tenant: the problem, every builder
+//! knob, and the strategy override as plain data with a JSON wire form, so
+//! an in-process caller and a remote client register the same way. From a
+//! spec the manager derives everything a tenant needs — the
+//! [`ars_stream::StreamModel`] the session must enforce and a fresh
+//! estimator at any flip budget λ ([`ProvisionerSpec::build`], which is
+//! also the re-provisioning path) — and a snapshot embeds the spec so a
+//! restored manager rebuilds the identical estimator (same seed, same
+//! parameters, hence the same deterministic sketch randomness).
 
 use ars_stream::StreamModel;
 
@@ -20,7 +17,6 @@ use crate::api::RobustEstimator;
 use crate::builder::{RobustBuilder, Strategy};
 use crate::error::ArsError;
 use crate::json::{JsonValue, JsonWriter};
-use crate::manager::Provisioner;
 use crate::strategy::CryptoBackend;
 
 /// Which problem a [`ProvisionerSpec`] provisions, with the per-problem
@@ -126,8 +122,7 @@ pub fn strategy_from_wire_name(name: &str) -> Option<Strategy> {
 }
 
 /// A declarative, serializable provisioner: a [`ProblemSpec`] plus every
-/// shared [`RobustBuilder`] knob. See the module docs for why this exists
-/// next to the closure-based [`Provisioner`].
+/// shared [`RobustBuilder`] knob. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProvisionerSpec {
     /// The problem to provision.
@@ -262,20 +257,6 @@ impl ProvisionerSpec {
             ProblemSpec::Entropy => Box::new(builder.try_entropy()?),
             ProblemSpec::HeavyHitters => Box::new(builder.try_heavy_hitters()?),
             ProblemSpec::CryptoF0 => Box::new(builder.try_crypto_f0()?),
-        })
-    }
-
-    /// The spec as a [`Provisioner`] closure for the manager's
-    /// re-provisioning path. Call [`ProvisionerSpec::build`] once first to
-    /// surface validation errors; the closure itself is infallible by
-    /// construction (build failures depend only on the spec's parameters,
-    /// which a successful validation build has already accepted).
-    #[must_use]
-    pub fn provisioner(&self) -> Provisioner {
-        let spec = *self;
-        Box::new(move |lambda| {
-            spec.build(Some(lambda))
-                .expect("spec was validated at registration")
         })
     }
 

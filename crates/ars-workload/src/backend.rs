@@ -58,7 +58,7 @@ pub trait Backend: Send + Sync {
     /// Short name used in reports (`in-process` / `http`).
     fn label(&self) -> &'static str;
     /// Registers (provisions) a tenant.
-    fn register(&self, name: &str, spec: &ProvisionerSpec) -> Result<(), BackendError>;
+    fn register_spec(&self, name: &str, spec: &ProvisionerSpec) -> Result<(), BackendError>;
     /// Ingests one update batch into a tenant's stream.
     fn update_batch(&self, name: &str, updates: &[Update]) -> Result<(), BackendError>;
     /// Publishes the tenant's current reading.
@@ -116,7 +116,7 @@ impl Backend for InProcessBackend {
         "in-process"
     }
 
-    fn register(&self, name: &str, spec: &ProvisionerSpec) -> Result<(), BackendError> {
+    fn register_spec(&self, name: &str, spec: &ProvisionerSpec) -> Result<(), BackendError> {
         self.lock()
             .register_spec(name, *spec)
             .map(|_| ())
@@ -177,7 +177,7 @@ impl Backend for HttpBackend {
         "http"
     }
 
-    fn register(&self, name: &str, spec: &ProvisionerSpec) -> Result<(), BackendError> {
+    fn register_spec(&self, name: &str, spec: &ProvisionerSpec) -> Result<(), BackendError> {
         let path = format!("/tenants/{}", client::encode_segment(name));
         let (status, body) = self.call("POST", &path, &spec.to_json())?;
         if status == 201 {
@@ -251,7 +251,7 @@ mod tests {
     fn in_process_backend_round_trips_register_update_query() {
         let backend = InProcessBackend::new();
         let spec = ProvisionerSpec::new(ProblemSpec::F0, 0.25);
-        backend.register("edge-0", &spec).expect("register");
+        backend.register_spec("edge-0", &spec).expect("register");
         assert_eq!(backend.tenants().unwrap(), vec!["edge-0".to_string()]);
 
         let updates: Vec<Update> = (0..100).map(Update::insert).collect();

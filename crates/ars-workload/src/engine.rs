@@ -149,7 +149,7 @@ impl RampEngine {
     pub fn run(&self, backend: &Arc<dyn Backend>) -> Result<Vec<StepReport>, BackendError> {
         let mut fleet = compile_fleet(&self.config);
         for tenant in &fleet {
-            backend.register(tenant.name(), &tenant.spec())?;
+            backend.register_spec(tenant.name(), &tenant.spec())?;
         }
         let mut steps = Vec::with_capacity(self.config.ramp.offered_rates().len());
         for offered in self.config.ramp.offered_rates() {

@@ -52,7 +52,7 @@ fn drive(
     let mut fleet = compile_fleet(config);
     for tenant in &fleet {
         backend
-            .register(tenant.name(), &tenant.spec())
+            .register_spec(tenant.name(), &tenant.spec())
             .expect("register");
     }
     let mut streams: BTreeMap<String, Vec<Update>> = BTreeMap::new();

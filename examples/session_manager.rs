@@ -6,58 +6,50 @@
 //! Run with: `cargo run --release --example session_manager`
 
 use adversarial_robust_streaming::robust::{
-    ArsError, RobustBuilder, SessionManager, StreamSession,
+    ArsError, ProblemSpec, ProvisionerSpec, SessionManager,
 };
 use adversarial_robust_streaming::stream::generator::{
     Generator, TurnstileWaveGenerator, UniformGenerator, ZipfGenerator,
 };
-use adversarial_robust_streaming::stream::{StreamModel, Update};
+use adversarial_robust_streaming::stream::Update;
 
 fn main() {
     let mut manager = SessionManager::new();
 
-    // Tenant 1: distinct flows at an edge PoP — insertion-only, so the
-    // session validates statelessly (O(1) validator memory).
-    let f0 = RobustBuilder::new(0.2)
+    // Tenant 1: distinct flows at an edge PoP — insertion-only, and this
+    // tenant opts out of exact state, so the session validates statelessly
+    // (O(1) validator memory).
+    let flows_spec = ProvisionerSpec::new(ProblemSpec::F0, 0.2)
         .stream_length(100_000)
         .domain(1 << 18)
-        .seed(7);
-    manager.register(
-        "edge-us/distinct-flows",
-        StreamSession::new(StreamModel::InsertionOnly, Box::new(f0.f0())),
-        Box::new(move |_lambda| Box::new(f0.f0())),
-    );
+        .seed(7)
+        .stateless();
+    manager
+        .register_spec("edge-us/distinct-flows", flows_spec)
+        .unwrap();
 
     // Tenant 2: skewed query-log F2 — same model, different workload.
-    let f2 = RobustBuilder::new(0.2)
+    let queries_spec = ProvisionerSpec::new(ProblemSpec::Fp { p: 2.0 }, 0.2)
         .stream_length(100_000)
         .domain(1 << 14)
-        .seed(11);
-    manager.register(
-        "search/query-f2",
-        StreamSession::new(StreamModel::InsertionOnly, Box::new(f2.fp(2.0))),
-        Box::new(move |_lambda| Box::new(f2.fp(2.0))),
-    );
+        .seed(11)
+        .stateless();
+    manager
+        .register_spec("search/query-f2", queries_spec)
+        .unwrap();
 
     // Tenant 3: a turnstile counter promised a (deliberately tiny) flip
     // budget. The insert/delete waves below will exhaust it; the manager
-    // then rebuilds the estimator with a doubled λ from the session's
-    // exact state. Re-provisioning needs that state, so this session opts
-    // out of the stateless fast path.
-    let waves_builder = RobustBuilder::new(0.25)
+    // then rebuilds the estimator from the spec with a doubled λ and
+    // replays the session's exact state, which specs keep by default.
+    let billing_spec = ProvisionerSpec::new(ProblemSpec::TurnstileFp { p: 2.0, lambda: 2 }, 0.25)
         .stream_length(100_000)
         .domain(1 << 10)
         .max_frequency(64)
         .seed(23);
-    manager.register(
-        "billing/net-balance-f2",
-        StreamSession::new(
-            StreamModel::Turnstile,
-            Box::new(waves_builder.turnstile_fp(2.0, 2)),
-        )
-        .with_exact_state(),
-        Box::new(move |lambda| Box::new(waves_builder.turnstile_fp(2.0, lambda))),
-    );
+    manager
+        .register_spec("billing/net-balance-f2", billing_spec)
+        .unwrap();
 
     // Traffic: each tenant gets its own stream, batched through the
     // manager by name.

@@ -82,6 +82,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use ars_adversary as adversary;
 pub use ars_core as robust;
 pub use ars_dp as dp;

@@ -6,10 +6,11 @@
 
 use adversarial_robust_streaming::robust::registry::RegistryEntry;
 use adversarial_robust_streaming::robust::{
-    standard_registry, ArsError, DifferenceSchedule, DpAggregationConfig, Estimate, FlipBudget,
-    Health, RegistryParams, RobustBuilder, RobustEstimator, SketchSwitchConfig, Strategy,
-    StreamSession,
+    standard_registry, ArsError, CryptoBackend, DifferenceSchedule, DpAggregationConfig, Estimate,
+    FlipBudget, Health, RegistryParams, RobustBuilder, RobustEstimator, SketchSwitchConfig,
+    Strategy, StreamSession,
 };
+use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::generator::Generator;
 use adversarial_robust_streaming::stream::{StreamModel, StreamValidator, Update, ValidationTier};
 
@@ -264,13 +265,15 @@ fn difference_estimator_entries_conform_and_reject_model_violations() {
 #[test]
 fn theorem_10_1_preset_reproduces_the_legacy_crypto_sketch() {
     // Identical seed and parameters: the preset must produce bitwise the
-    // same sketch (space and estimates) as the legacy builder that pinned
-    // delta = 1/4 — the footgun recorded in the PR 1 migration table.
+    // same sketch (space and estimates) as the explicit Theorem 10.1
+    // configuration — delta = 1/4 with the default crypto backend.
     let p = params();
-    let mut legacy = adversarial_robust_streaming::robust::CryptoRobustF0Builder::new(p.epsilon)
+    let mut legacy = RobustBuilder::new(p.epsilon)
+        .delta(0.25)
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
         .stream_length(p.stream_length)
         .seed(9)
-        .build();
+        .crypto_f0();
     let mut preset = RobustBuilder::theorem_10_1(p.epsilon)
         .stream_length(p.stream_length)
         .seed(9)

@@ -11,6 +11,7 @@ use adversarial_robust_streaming::adversary::{
     Adversary, DistinctDuplicateAdversary, GameConfig, GameRunner, SurgeAdversary,
 };
 use adversarial_robust_streaming::robust::{RobustBuilder, RobustEstimator, Strategy};
+use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::exact::Query;
 use adversarial_robust_streaming::stream::generator::{
     BoundedDeletionGenerator, BurstyGenerator, Generator, UniformGenerator,

@@ -3,6 +3,11 @@
 //! tenant through a model-appropriate workload, snapshot the manager,
 //! restore into a fresh one, and compare the typed reading.
 //!
+//! The workload is ingested in small batches ([`CHUNK`] updates each), so
+//! the estimator publishes many times before the snapshot and the flip
+//! ledger the snapshot must carry is non-trivial. (A single large batch
+//! publishes at most once, which would leave that ledger untested.)
+//!
 //! Engine-backed estimators carry the publication seam
 //! (`publication_state` / `restore_publication`), so their restored
 //! readings must be **bitwise-identical** JSON. Heavy hitters is the one
@@ -16,6 +21,9 @@ use adversarial_robust_streaming::stream::generator::{
     Generator, TurnstileWaveGenerator, UniformGenerator,
 };
 use adversarial_robust_streaming::stream::Update;
+
+/// Updates per ingested batch.
+const CHUNK: usize = 16;
 
 /// Whether restored readings for this problem must match bitwise.
 fn bitwise(problem: &ProblemSpec) -> bool {
@@ -57,9 +65,11 @@ fn every_spec_variant_round_trips_through_snapshot_and_restore() {
         manager
             .register_spec(name, spec)
             .unwrap_or_else(|e| panic!("{name}: register failed: {e}"));
-        manager
-            .update_batch(name, &workload(&problem))
-            .unwrap_or_else(|e| panic!("{name}: ingest failed: {e}"));
+        for chunk in workload(&problem).chunks(CHUNK) {
+            manager
+                .update_batch(name, chunk)
+                .unwrap_or_else(|e| panic!("{name}: ingest failed: {e}"));
+        }
 
         let before = manager
             .query(name)
