@@ -919,6 +919,36 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "epsilon must be in (0,1)")]
+    fn f0_builder_rejects_bad_epsilon() {
+        let _ = RobustBuilder::new(1.5).f0();
+    }
+
+    #[test]
+    fn f0_engine_implements_the_estimator_trait() {
+        let mut robust = RobustBuilder::new(0.3).seed(11).f0();
+        for i in 0..500u64 {
+            Estimator::update(&mut robust, Update::insert(i));
+        }
+        let est = Estimator::estimate(&robust);
+        assert!((est - 500.0).abs() <= 0.35 * 500.0);
+    }
+
+    #[test]
+    fn crypto_strategy_is_reachable_through_f0() {
+        let mut robust = RobustBuilder::new(0.15)
+            .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+            .seed(3)
+            .f0();
+        for i in 0..3_000u64 {
+            robust.insert(i % 1_000);
+        }
+        let est = robust.estimate();
+        assert!((est - 1_000.0).abs() <= 0.2 * 1_000.0, "estimate {est}");
+        assert_eq!(RobustEstimator::strategy_name(&robust), "crypto-mask");
+    }
+
+    #[test]
     #[should_panic(expected = "delta must be in (0,1)")]
     fn rejects_bad_delta() {
         let _ = RobustBuilder::new(0.1).delta(0.0);
@@ -1259,6 +1289,13 @@ mod tests {
         let t = truth.f2();
         let est = robust.estimate();
         assert!(((est - t) / t).abs() <= 0.35, "estimate {est} vs truth {t}");
+    }
+
+    #[test]
+    fn turnstile_builder_reports_lambda_as_flip_budget() {
+        let robust = RobustBuilder::new(0.2).turnstile_fp(1.0, 50);
+        assert_eq!(robust.flip_budget(), 50);
+        assert!(robust.space_bytes() > 0);
     }
 
     #[test]
