@@ -1,6 +1,6 @@
-//! `cargo bench --bench attack_ams` regenerates experiment E8 of DESIGN.md
-//! (see EXPERIMENTS.md for the recorded output and its comparison against
-//! the paper's claims).
+//! `cargo bench --bench attack_ams` regenerates experiment E8 at the quick
+//! scale (`ARS_BENCH_FULL=1` for the full one); the `run_all_experiments`
+//! binary prints the same table (`-- --only E8`).
 
 use ars_bench::{run_experiment, ExperimentScale};
 

@@ -1,5 +1,5 @@
-//! `cargo bench --bench fast_f0_update_time` regenerates experiment E10 of
-//! DESIGN.md: the update-time comparison motivating Theorem 5.4 (the fast
+//! `cargo bench --bench fast_f0_update_time` regenerates experiment E10:
+//! the update-time comparison motivating Theorem 5.4 (the fast
 //! level-list `F₀` sketch pairs with the computation-paths wrapper because
 //! its update time barely depends on the failure probability).
 //!

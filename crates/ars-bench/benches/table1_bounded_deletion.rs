@@ -1,6 +1,6 @@
-//! `cargo bench --bench table1_bounded_deletion` regenerates experiment E7 of DESIGN.md
-//! (see EXPERIMENTS.md for the recorded output and its comparison against
-//! the paper's claims).
+//! `cargo bench --bench table1_bounded_deletion` regenerates experiment E7 at the quick
+//! scale (`ARS_BENCH_FULL=1` for the full one); the `run_all_experiments`
+//! binary prints the same table (`-- --only E7`).
 
 use ars_bench::{run_experiment, ExperimentScale};
 

@@ -1,6 +1,6 @@
-//! `cargo bench --bench table1_fp_small` regenerates experiment E2 of DESIGN.md
-//! (see EXPERIMENTS.md for the recorded output and its comparison against
-//! the paper's claims).
+//! `cargo bench --bench table1_fp_small` regenerates experiment E2 at the quick
+//! scale (`ARS_BENCH_FULL=1` for the full one); the `run_all_experiments`
+//! binary prints the same table (`-- --only E2`).
 
 use ars_bench::{run_experiment, ExperimentScale};
 

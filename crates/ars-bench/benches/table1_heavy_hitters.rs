@@ -1,6 +1,6 @@
-//! `cargo bench --bench table1_heavy_hitters` regenerates experiment E4 of DESIGN.md
-//! (see EXPERIMENTS.md for the recorded output and its comparison against
-//! the paper's claims).
+//! `cargo bench --bench table1_heavy_hitters` regenerates experiment E4 at the quick
+//! scale (`ARS_BENCH_FULL=1` for the full one); the `run_all_experiments`
+//! binary prints the same table (`-- --only E4`).
 
 use ars_bench::{run_experiment, ExperimentScale};
 

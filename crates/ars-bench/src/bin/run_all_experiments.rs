@@ -1,5 +1,4 @@
-//! Runs every experiment (E1–E16) and prints the full markdown report that
-//! EXPERIMENTS.md is built from.
+//! Runs every experiment (E1–E16) and prints the full markdown report.
 //!
 //! Usage:
 //!

@@ -1,9 +1,9 @@
-//! The experiment implementations (one per DESIGN.md experiment id).
+//! The experiment implementations (one per experiment id, E1–E16).
 //!
 //! Every function takes an [`ExperimentScale`] so the same code can run as
 //! a quick smoke test (`Scale::quick()`, used by `cargo bench` and CI) or a
-//! longer run (`Scale::full()`, used to produce the numbers recorded in
-//! EXPERIMENTS.md).
+//! longer run (`Scale::full()`, what `run_all_experiments --full`
+//! prints).
 //!
 //! All estimators — static baselines and robust constructions alike — are
 //! driven through **one generic trait-object loop**
@@ -19,8 +19,9 @@ use ars_adversary::{
     Adversary, AmsAttackAdversary, DistinctDuplicateAdversary, GameConfig, GameRunner,
 };
 use ars_core::{
-    empirical_flip_number, standard_registry, ArsError, CryptoBackend, Estimate, FlipNumberBound,
-    RegistryParams, RobustBuilder, RobustEstimator, Strategy, StreamSession,
+    empirical_flip_number, standard_registry, ArsError, CryptoBackend, DynRobust, Estimate,
+    FlipNumberBound, RegistryParams, RobustBuilder, RobustEstimator, RobustPlan, Robustify,
+    SketchSwitch, SketchSwitchConfig, Strategy, StreamSession,
 };
 use ars_sketch::ams::{AmsConfig, AmsSketch};
 use ars_sketch::countsketch::{CountSketch, CountSketchConfig};
@@ -63,7 +64,7 @@ impl ExperimentScale {
         }
     }
 
-    /// The configuration used for the numbers recorded in EXPERIMENTS.md.
+    /// The configuration `run_all_experiments --full` reports at.
     #[must_use]
     pub fn full() -> Self {
         Self {
@@ -419,7 +420,11 @@ pub fn table1_f0(scale: ExperimentScale, seed: u64) -> ExperimentReport {
             ),
             Contender::robust(
                 "robust F0 (crypto PRF, Thm 10.1)",
-                Box::new(b.seed(seed + 4).crypto_f0()),
+                Box::new(
+                    b.seed(seed + 4)
+                        .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+                        .f0(),
+                ),
             ),
         ];
         report.rows.extend(score_contenders(
@@ -1009,7 +1014,11 @@ pub fn crypto_f0_experiment(scale: ExperimentScale, seed: u64) -> ExperimentRepo
             "crypto robust F0 (ChaCha PRF)".to_string(),
             StreamSession::new(
                 ars_stream::StreamModel::InsertionOnly,
-                Box::new(b.seed(seed + 1).crypto_f0()),
+                Box::new(
+                    b.seed(seed + 1)
+                        .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+                        .f0(),
+                ),
             ),
         ),
         (
@@ -1019,7 +1028,7 @@ pub fn crypto_f0_experiment(scale: ExperimentScale, seed: u64) -> ExperimentRepo
                 Box::new(
                     b.seed(seed + 2)
                         .strategy(Strategy::Crypto(CryptoBackend::RandomOracle))
-                        .crypto_f0(),
+                        .f0(),
                 ),
             ),
         ),
@@ -1199,6 +1208,32 @@ pub fn registry_sweep(scale: ExperimentScale, seed: u64) -> ExperimentReport {
     report
 }
 
+/// The Lemma 3.6 exhaustible pool E14 and E15 compare against: `min(λ,
+/// cap)` copies of the same strong-tracking KMV ensemble the builder's
+/// `F₀` pool routes run, at the same per-copy failure split (δ/λ, floored)
+/// and under the plan an `F₀` build from `b` gets, so the comparison stays
+/// apples-to-apples.
+fn capped_exhaustible_f0(
+    b: &RobustBuilder,
+    epsilon: f64,
+    lambda: usize,
+    cap: usize,
+    seed: u64,
+) -> DynRobust {
+    let (delta, domain, stream_length, _) = b.raw_parameters();
+    let factory = b.f0_tracking_factory((delta / lambda as f64).max(1e-6));
+    let pool = SketchSwitchConfig::exhaustible(epsilon, lambda.min(cap));
+    let plan = RobustPlan {
+        delta,
+        stream_length,
+        domain,
+        max_frequency: stream_length,
+        value_range: (domain as f64).max(2.0),
+        ..RobustPlan::new(epsilon, lambda)
+    };
+    Robustify::new(Box::new(SketchSwitch::new(factory, pool, seed)), plan)
+}
+
 /// E14 — DP aggregation (Hassidim et al. 2020) vs the paper's wrappers:
 /// copies, space and accuracy at equal flip budget, plus behaviour under
 /// the adaptive dip-hunting adversary.
@@ -1209,7 +1244,7 @@ pub fn registry_sweep(scale: ExperimentScale, seed: u64) -> ExperimentReport {
 /// restarting pool needs `Θ(ε⁻¹ log ε⁻¹)`, and the DP route needs `O(√λ)`.
 #[must_use]
 pub fn dp_aggregation_experiment(scale: ExperimentScale, seed: u64) -> ExperimentReport {
-    use ars_core::{DpAggregationConfig, SketchSwitchConfig, SketchSwitchStrategy};
+    use ars_core::DpAggregationConfig;
 
     let mut report = ExperimentReport::new(
         "E14",
@@ -1222,24 +1257,8 @@ pub fn dp_aggregation_experiment(scale: ExperimentScale, seed: u64) -> Experimen
     let b = builder(scale, epsilon, seed);
     let lambda = b.f0_flip_number();
 
-    // The Lemma 3.6 exhaustible pool at the analytic λ (capped), over the
-    // same Theorem 1.1 static ingredient the builder's f0 routes use.
     let exhaustible_cap = 256usize;
-    // Same per-copy failure split as the builder's f0 route (delta/lambda,
-    // floored) so the comparison stays apples-to-apples.
-    let delta = b.raw_parameters().0;
-    let exhaustible_factory = b.f0_tracking_factory((delta / lambda as f64).max(1e-6));
-    let exhaustible = b.seed(seed + 1).custom(
-        exhaustible_factory,
-        &SketchSwitchStrategy {
-            pool: ars_core::PoolPolicy::Explicit(SketchSwitchConfig::exhaustible(
-                epsilon,
-                lambda.min(exhaustible_cap),
-            )),
-        },
-        lambda,
-        scale.domain as f64,
-    );
+    let exhaustible = capped_exhaustible_f0(&b, epsilon, lambda, exhaustible_cap, seed + 1);
 
     let mut contenders: Vec<(String, String, Box<dyn RobustEstimator>)> = vec![
         (
@@ -1340,9 +1359,7 @@ pub fn dp_aggregation_experiment(scale: ExperimentScale, seed: u64) -> Experimen
 /// through the plan.
 #[must_use]
 pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> ExperimentReport {
-    use ars_core::{
-        DifferenceSchedule, DpAggregationConfig, SketchSwitchConfig, SketchSwitchStrategy,
-    };
+    use ars_core::{DifferenceSchedule, DpAggregationConfig};
 
     /// One E15 contender: label, pool-sizing note, guarantee threshold
     /// (per-route, as in E14 — a shared loose threshold would mask a
@@ -1360,22 +1377,8 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
     let b = builder(scale, epsilon, seed);
     let lambda = b.f0_flip_number();
 
-    // The Lemma 3.6 exhaustible pool at the analytic λ (capped), over the
-    // same Theorem 1.1 static ingredient the builder's f0 routes use.
     let exhaustible_cap = 256usize;
-    let delta = b.raw_parameters().0;
-    let exhaustible_factory = b.f0_tracking_factory((delta / lambda as f64).max(1e-6));
-    let exhaustible = b.seed(seed + 1).custom(
-        exhaustible_factory,
-        &SketchSwitchStrategy {
-            pool: ars_core::PoolPolicy::Explicit(SketchSwitchConfig::exhaustible(
-                epsilon,
-                lambda.min(exhaustible_cap),
-            )),
-        },
-        lambda,
-        scale.domain as f64,
-    );
+    let exhaustible = capped_exhaustible_f0(&b, epsilon, lambda, exhaustible_cap, seed + 1);
 
     let schedule = DifferenceSchedule::for_flip_budget(lambda);
     let contenders: Vec<PoolContender> = vec![
@@ -1712,7 +1715,7 @@ pub fn run_experiment(id: &str, scale: ExperimentScale, seed: u64) -> Option<Exp
     }
 }
 
-/// All experiment ids, in DESIGN.md order.
+/// All experiment ids, in report order.
 #[must_use]
 pub fn all_experiment_ids() -> Vec<&'static str> {
     vec![

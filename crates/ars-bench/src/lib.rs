@@ -14,8 +14,8 @@
 //!
 //! Each experiment in [`experiments`] reproduces one of those rows/claims
 //! empirically on synthetic workloads and returns structured rows;
-//! [`report`] renders them as the markdown tables recorded in
-//! EXPERIMENTS.md. Beyond the paper's own tables, the follow-up-framework
+//! [`report`] renders them as the markdown tables the
+//! `run_all_experiments` binary prints. Beyond the paper's own tables, the follow-up-framework
 //! experiments compare the strategy routes at equal flip budget: E13
 //! sweeps the whole `ars_core::standard_registry` through model-enforcing
 //! sessions, E14 pits DP aggregation (Hassidim et al. 2020, `O(√λ)`

@@ -23,8 +23,9 @@ pub struct Row {
     pub notes: String,
 }
 
-/// A complete experiment: an id (matching DESIGN.md's experiment index), a
-/// human-readable title, and the measured rows.
+/// A complete experiment: an id (one of
+/// [`crate::experiments::all_experiment_ids`]), a human-readable title, and
+/// the measured rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     /// Experiment id, e.g. `"E1"`.

@@ -5,11 +5,12 @@
 //! robustification [`Strategy`] — and its problem-specific constructors
 //! ([`RobustBuilder::f0`], [`RobustBuilder::fp`],
 //! [`RobustBuilder::entropy`], …) are thin factory selections: each one
-//! computes the problem's flip-number budget, instantiates the right
-//! static-sketch factory, and hands both to the chosen strategy. All the
-//! robustness machinery lives in the [`crate::engine`] and
-//! [`crate::strategy`] modules, exactly once, and every scalar constructor
-//! returns that engine — [`DynRobust`] — directly. Its surface is the
+//! computes the problem's flip-number budget, names the static-sketch
+//! factories it runs on, and hands both to one private route table that
+//! builds the chosen strategy's core and wraps it in the
+//! [`crate::engine::Robustify`] engine. Publication and budgeting live in
+//! the engine exactly once, and every scalar constructor returns that
+//! engine — [`DynRobust`] — directly. Its surface is the
 //! [`crate::api::RobustEstimator`] trait (with [`ars_sketch::Estimator`]
 //! for `update`/`insert`/`estimate`/`space_bytes`).
 //!
@@ -38,18 +39,16 @@ use ars_sketch::pstable::{PStableConfig, PStableFactory};
 use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
 use ars_sketch::EstimatorFactory;
 
-use crate::difference_estimators::{DifferenceEstimatorsStrategy, DifferenceSchedule};
-use crate::dp_aggregation::{DpAggregationConfig, DpAggregationStrategy};
-use crate::engine::{DynRobust, RobustPlan};
+use crate::computation_paths::{ComputationPaths, ComputationPathsConfig};
+use crate::crypto_mask::{CryptoBackend, CryptoMask};
+use crate::difference_estimators::{DifferenceEstimators, DifferenceSchedule};
+use crate::dp_aggregation::{DpAggregation, DpAggregationConfig};
+use crate::engine::{DynRobust, RobustPlan, Robustify, StrategyCore};
 use crate::error::{ArsError, BuildError};
 use crate::flip_number::FlipNumberBound;
 use crate::robust_entropy::{EntropyMethod, ExponentialFactory};
 use crate::robust_heavy_hitters::RobustL2HeavyHitters;
-use crate::sketch_switch::SketchSwitchConfig;
-use crate::strategy::{
-    ComputationPathsStrategy, CryptoBackend, CryptoMaskStrategy, PoolPolicy, RobustStrategy,
-    SketchSwitchStrategy,
-};
+use crate::sketch_switch::{SketchSwitch, SketchSwitchConfig};
 
 /// Which robustification route the builder applies.
 ///
@@ -96,14 +95,17 @@ pub struct RobustBuilder {
 }
 
 impl RobustBuilder {
-    /// The Theorem 10.1 preset: a builder with δ pinned to 1/4 (the
-    /// theorem states success probability 3/4). Without this preset,
-    /// `RobustBuilder::new(eps).crypto_f0()` silently uses the shared
-    /// default δ = 10⁻³ and provisions a noticeably larger tracking
-    /// ensemble than the theorem asks for.
+    /// The Theorem 10.1 preset: the cryptographic route with the default
+    /// backend and δ pinned to 1/4 (the theorem states success probability
+    /// 3/4), so `RobustBuilder::theorem_10_1(eps).f0()` is the theorem's
+    /// estimator. Without the preset, `.strategy(Strategy::Crypto(..))`
+    /// keeps the shared default δ = 10⁻³ and can provision a larger
+    /// tracking ensemble than the theorem asks for.
     #[must_use]
     pub fn theorem_10_1(epsilon: f64) -> Self {
-        Self::new(epsilon).delta(0.25)
+        Self::new(epsilon)
+            .delta(0.25)
+            .strategy(Strategy::Crypto(CryptoBackend::default()))
     }
 
     /// Starts a builder for `(1 ± ε)` robust estimators, panicking on an
@@ -254,25 +256,6 @@ impl RobustBuilder {
         }
     }
 
-    /// Applies any [`RobustStrategy`] — including ones defined outside this
-    /// crate — to any static-sketch factory. This is the extension seam the
-    /// problem constructors below are thin wrappers over.
-    #[must_use]
-    pub fn custom<F, S>(
-        &self,
-        factory: F,
-        strategy: &S,
-        lambda: usize,
-        value_range: f64,
-    ) -> DynRobust
-    where
-        F: EstimatorFactory + Send + 'static,
-        F::Output: Send + 'static,
-        S: RobustStrategy + ?Sized,
-    {
-        strategy.wrap(factory, &self.plan(lambda, value_range), self.seed)
-    }
-
     // ------------------------------------------------------------------
     // Problem-specific constructors: thin factory selections.
     // ------------------------------------------------------------------
@@ -314,52 +297,20 @@ impl RobustBuilder {
     /// route, so with a validly-constructed builder this cannot currently
     /// fail; it completes the uniform `try_*` surface.
     pub fn try_f0(&self) -> Result<DynRobust, ArsError> {
-        let lambda = self.f0_flip_number();
-        let plan = self.plan(lambda, (self.domain.max(2)) as f64);
-        Ok(match self.strategy.unwrap_or_default() {
-            Strategy::SketchSwitching => {
-                // Strong tracking with per-copy failure δ / λ, as Lemma 3.6
-                // requires (floored for practicality; the copy count is
-                // logarithmic in it anyway).
-                let per_copy_delta = (self.delta / lambda as f64).max(1e-6);
-                let factory = self.f0_tracking_factory(per_copy_delta);
-                let strategy = SketchSwitchStrategy {
-                    pool: PoolPolicy::Explicit(SketchSwitchConfig::restarting(self.epsilon)),
-                };
-                strategy.wrap(factory, &plan, self.seed)
-            }
-            Strategy::ComputationPaths => {
-                let delta0 =
-                    ComputationPathsStrategy::required_delta(&plan, self.practical_delta_floor);
-                let factory = FastF0Factory {
-                    config: FastF0Config::for_accuracy(self.epsilon / 4.0, delta0, self.domain),
-                };
-                ComputationPathsStrategy.wrap(factory, &plan, self.seed)
-            }
-            Strategy::Crypto(backend) => {
-                let factory = self.crypto_f0_factory();
-                CryptoMaskStrategy { backend }.wrap(factory, &plan, self.seed)
-            }
-            Strategy::DpAggregation => {
-                // The √λ pool: each copy is the same strong-tracking KMV
-                // ensemble sketch switching uses, with the failure budget
-                // split over the (much smaller) pool.
-                let copies = DpAggregationConfig::copies_for_flip_budget(lambda);
-                let per_copy_delta = (self.delta / copies as f64).max(1e-6);
-                let factory = self.f0_tracking_factory(per_copy_delta);
-                DpAggregationStrategy::default().wrap(factory, &plan, self.seed)
-            }
-            Strategy::DifferenceEstimators => {
-                // The O(log λ) chunk pool over the same strong-tracking KMV
-                // ensemble; the failure budget splits over the chunk count,
-                // the smallest split of any pool route.
-                let schedule = DifferenceSchedule::for_flip_budget(lambda);
-                let per_copy_delta = (self.delta / schedule.chunks() as f64).max(1e-6);
-                let factory = self.f0_tracking_factory(per_copy_delta);
-                DifferenceEstimatorsStrategy::with_schedule(schedule)
-                    .wrap(factory, &plan, self.seed)
-            }
-        })
+        let plan = self.plan(self.f0_flip_number(), (self.domain.max(2)) as f64);
+        // The pool routes run the strong-tracking KMV ensemble (per-copy δ
+        // floored for practicality; the copy count is logarithmic in it
+        // anyway); computation paths runs one fast F₀ sketch at δ₀.
+        let fast = |delta0| FastF0Factory {
+            config: FastF0Config::for_accuracy(self.epsilon / 4.0, delta0, self.domain),
+        };
+        Ok(self.route(
+            self.strategy.unwrap_or_default(),
+            plan,
+            Some(SketchSwitchConfig::restarting(self.epsilon)),
+            |delta: f64| self.f0_tracking_factory(delta.max(1e-6)),
+            fast,
+        ))
     }
 
     /// The flip-number budget of `F_p` (Corollary 3.5).
@@ -397,56 +348,32 @@ impl RobustBuilder {
         if !(p > 0.0 && p <= 2.0) {
             return Err(BuildError::out_of_range("p", p, "(0, 2]; use fp_large for p > 2").into());
         }
-        let lambda = self.fp_flip_number(p);
+        let strategy = self.strategy.unwrap_or_default();
+        if let Strategy::Crypto(_) = strategy {
+            return Err(BuildError::StrategyMismatch {
+                problem: "Fp estimation (Theorems 1.4/1.5)",
+                detail: "the cryptographic transformation (Theorem 10.1) applies only to \
+                         duplicate-invariant sketches; there is no crypto route for Fp",
+            }
+            .into());
+        }
         let value_range = (self.max_frequency as f64).powf(p.max(1.0)) * self.domain as f64;
-        let plan = self.plan(lambda, value_range);
-        Ok(match self.strategy.unwrap_or_default() {
-            Strategy::SketchSwitching => {
-                // Strong tracking of each copy with failure δ/λ: the
-                // p-stable median-of-rows estimator concentrates
-                // exponentially in its row count, so the boost is folded
-                // directly into the rows rather than a median-of-copies
-                // layer (same asymptotics, far cheaper constants).
-                let per_copy_delta = (self.delta / lambda as f64).max(1e-4);
-                let factory = PStableFactory {
-                    config: PStableConfig::for_tracking(p, self.epsilon / 2.0, per_copy_delta),
-                };
-                SketchSwitchStrategy::restarting_for_moment(p).wrap(factory, &plan, self.seed)
-            }
-            Strategy::ComputationPaths => {
-                let delta0 =
-                    ComputationPathsStrategy::required_delta(&plan, self.practical_delta_floor);
-                let factory = PStableFactory {
-                    config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta0),
-                };
-                ComputationPathsStrategy.wrap(factory, &plan, self.seed)
-            }
-            Strategy::Crypto(_) => {
-                return Err(BuildError::StrategyMismatch {
-                    problem: "Fp estimation (Theorems 1.4/1.5)",
-                    detail: "the cryptographic transformation (Theorem 10.1) applies only to \
-                             duplicate-invariant sketches; there is no crypto route for Fp",
-                }
-                .into())
-            }
-            Strategy::DpAggregation => {
-                let copies = DpAggregationConfig::copies_for_flip_budget(lambda);
-                let per_copy_delta = (self.delta / copies as f64).max(1e-4);
-                let factory = PStableFactory {
-                    config: PStableConfig::for_tracking(p, self.epsilon / 2.0, per_copy_delta),
-                };
-                DpAggregationStrategy::default().wrap(factory, &plan, self.seed)
-            }
-            Strategy::DifferenceEstimators => {
-                let schedule = DifferenceSchedule::for_flip_budget(lambda);
-                let per_copy_delta = (self.delta / schedule.chunks() as f64).max(1e-4);
-                let factory = PStableFactory {
-                    config: PStableConfig::for_tracking(p, self.epsilon / 2.0, per_copy_delta),
-                };
-                DifferenceEstimatorsStrategy::with_schedule(schedule)
-                    .wrap(factory, &plan, self.seed)
-            }
-        })
+        let plan = self.plan(self.fp_flip_number(p), value_range);
+        let pstable = |delta| PStableFactory {
+            config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta),
+        };
+        // Each pool copy tracks strongly with its share of δ: the p-stable
+        // median-of-rows estimator concentrates exponentially in its row
+        // count, so the boost is folded directly into the rows rather than
+        // a median-of-copies layer (same asymptotics, far cheaper
+        // constants).
+        Ok(self.route(
+            strategy,
+            plan,
+            Some(SketchSwitchConfig::restarting_for_moment(self.epsilon, p)),
+            |delta: f64| pstable(delta.max(1e-4)),
+            pstable,
+        ))
     }
 
     /// Robust `F_p` for `p > 2` (Theorem 1.7; computation paths over the
@@ -457,20 +384,22 @@ impl RobustBuilder {
         self.try_fp_large(p).unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// Fallible [`RobustBuilder::fp_large`]: rejects `p ≤ 2` and
-    /// non-computation-paths strategies with a typed error.
+    /// Fallible [`RobustBuilder::fp_large`]: rejects `p ≤ 2`, a
+    /// non-finite `p` and non-computation-paths strategies with a typed
+    /// error.
     pub fn try_fp_large(&self, p: f64) -> Result<DynRobust, ArsError> {
-        if p <= 2.0 {
+        if !(p > 2.0 && p.is_finite()) {
             return Err(BuildError::out_of_range("p", p, "(2, inf); use fp for p <= 2").into());
         }
         self.ensure_paths("Fp estimation for p > 2 (Theorem 4.4)")?;
-        let lambda = self.fp_flip_number(p);
         let value_range = (self.max_frequency as f64).powf(p) * self.domain as f64;
-        let plan = self.plan(lambda, value_range);
-        let factory = FpLargeFactory {
+        let plan = self.plan(self.fp_flip_number(p), value_range);
+        // The heavy-elements estimator's space grows only logarithmically
+        // in 1/δ, so it is provisioned by accuracy alone.
+        let factory = |_| FpLargeFactory {
             config: FpLargeConfig::for_accuracy(p, self.epsilon / 4.0, self.domain),
         };
-        Ok(ComputationPathsStrategy.wrap(factory, &plan, self.seed))
+        Ok(self.route(Strategy::ComputationPaths, plan, None, factory, factory))
     }
 
     /// Robust `F_p` for turnstile streams promised to have flip number at
@@ -496,11 +425,10 @@ impl RobustBuilder {
         self.ensure_paths("turnstile Fp (Theorem 4.3)")?;
         let value_range = (self.max_frequency as f64).powf(p.max(1.0)) * self.domain as f64;
         let plan = self.plan(lambda, value_range);
-        let delta0 = ComputationPathsStrategy::required_delta(&plan, self.practical_delta_floor);
-        let factory = PStableFactory {
+        let pstable = |delta0| PStableFactory {
             config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta0),
         };
-        Ok(ComputationPathsStrategy.wrap(factory, &plan, self.seed))
+        Ok(self.route(Strategy::ComputationPaths, plan, None, pstable, pstable))
     }
 
     /// The flip-number budget of Lemma 8.2.
@@ -525,24 +453,23 @@ impl RobustBuilder {
     }
 
     /// Fallible [`RobustBuilder::bounded_deletion_fp`]: rejects `p`
-    /// outside `[1, 2]` (Theorem 8.3 covers p in [1, 2]), `α < 1`, and
-    /// non-computation-paths strategies with a typed error.
+    /// outside `[1, 2]` (Theorem 8.3 covers p in [1, 2]), an `α` that is
+    /// below 1 or not finite, and non-computation-paths strategies with a
+    /// typed error.
     pub fn try_bounded_deletion_fp(&self, p: f64, alpha: f64) -> Result<DynRobust, ArsError> {
         if !(1.0..=2.0).contains(&p) {
             return Err(BuildError::out_of_range("p", p, "[1, 2] (Theorem 8.3)").into());
         }
-        if alpha < 1.0 {
+        if !(alpha >= 1.0 && alpha.is_finite()) {
             return Err(BuildError::out_of_range("alpha", alpha, "[1, inf)").into());
         }
         self.ensure_paths("bounded-deletion Fp (Theorem 8.3)")?;
-        let lambda = self.bounded_deletion_flip_number(p, alpha);
         let value_range = (self.max_frequency as f64).powf(p) * self.domain as f64;
-        let plan = self.plan(lambda, value_range);
-        let delta0 = ComputationPathsStrategy::required_delta(&plan, self.practical_delta_floor);
-        let factory = PStableFactory {
+        let plan = self.plan(self.bounded_deletion_flip_number(p, alpha), value_range);
+        let pstable = |delta0| PStableFactory {
             config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta0),
         };
-        Ok(ComputationPathsStrategy.wrap(factory, &plan, self.seed))
+        Ok(self.route(Strategy::ComputationPaths, plan, None, pstable, pstable))
     }
 
     /// The flip-number budget of `2^{H}` (Proposition 7.2).
@@ -589,10 +516,11 @@ impl RobustBuilder {
         // log n; the pool is capped at a laptop-friendly size (documented
         // constant substitution) and the wrapper degrades gracefully — it
         // keeps using its last copy — if a stream exhausts it.
-        let pool = lambda.clamp(8, 64);
-        let strategy = SketchSwitchStrategy {
-            pool: PoolPolicy::Explicit(SketchSwitchConfig::exhaustible(mult_epsilon, pool)),
-        };
+        let pool = Some(SketchSwitchConfig::exhaustible(
+            mult_epsilon,
+            lambda.clamp(8, 64),
+        ));
+        let switching = Strategy::SketchSwitching;
         Ok(match self.entropy_method {
             EntropyMethod::Renyi => {
                 // A practically parametrized Rényi order: the paper's
@@ -602,16 +530,16 @@ impl RobustBuilder {
                 // laptop scale.
                 let config =
                     RenyiEntropyConfig::with_alpha((1.0 + self.epsilon / 2.0).min(1.5), 1025);
-                let factory = ExponentialFactory {
+                let factory = |_| ExponentialFactory {
                     inner: MedianTrackingFactory {
                         inner: RenyiEntropyFactory { config },
                         config: MedianTrackingConfig { copies: 1 },
                     },
                 };
-                strategy.wrap(factory, &plan, self.seed)
+                self.route(switching, plan, pool, factory, factory)
             }
             EntropyMethod::Sampled => {
-                let factory = ExponentialFactory {
+                let factory = |_| ExponentialFactory {
                     inner: MedianTrackingFactory {
                         inner: SampledEntropyFactory {
                             config: SampledEntropyConfig::for_accuracy(self.epsilon / 2.0),
@@ -619,7 +547,7 @@ impl RobustBuilder {
                         config: MedianTrackingConfig { copies: 3 },
                     },
                 };
-                strategy.wrap(factory, &plan, self.seed)
+                self.route(switching, plan, pool, factory, factory)
             }
         })
     }
@@ -647,43 +575,12 @@ impl RobustBuilder {
         Ok(RobustL2HeavyHitters::from_builder(self))
     }
 
-    /// Space-optimal robust distinct elements from cryptographic
-    /// assumptions (Theorem 10.1): PRF-mask items into a static tracking
-    /// sketch, publish raw.
-    #[must_use]
-    pub fn crypto_f0(&self) -> DynRobust {
-        self.try_crypto_f0().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::crypto_f0`]: rejects a conflicting
-    /// (non-crypto) strategy selection with a typed error.
-    pub fn try_crypto_f0(&self) -> Result<DynRobust, ArsError> {
-        let backend = match self.strategy {
-            None => CryptoBackend::default(),
-            Some(Strategy::Crypto(backend)) => backend,
-            Some(Strategy::SketchSwitching)
-            | Some(Strategy::ComputationPaths)
-            | Some(Strategy::DpAggregation)
-            | Some(Strategy::DifferenceEstimators) => {
-                return Err(BuildError::StrategyMismatch {
-                    problem: "crypto_f0",
-                    detail: "crypto_f0 is the Theorem 10.1 construction; select the backend \
-                             with Strategy::Crypto(..) or leave the strategy unset",
-                }
-                .into())
-            }
-        };
-        let plan = self.plan(self.f0_flip_number(), (self.domain.max(2)) as f64);
-        let factory = self.crypto_f0_factory();
-        Ok(CryptoMaskStrategy { backend }.wrap(factory, &plan, self.seed))
-    }
-
     /// The strong-tracking KMV ensemble behind the pool-based `F₀` routes
     /// (Theorem 1.1's static ingredient): a median ensemble of KMV
     /// sketches at accuracy ε/4, provisioned for the given per-copy
-    /// failure probability. Exposed so external drivers (the E14
-    /// experiment, custom pools over [`RobustBuilder::custom`]) build on
-    /// the exact same ingredient instead of hand-copying the recipe.
+    /// failure probability. Exposed so external drivers (the E14 and E15
+    /// experiments' capped exhaustible pools) build on the exact same
+    /// ingredient instead of hand-copying the recipe.
     #[must_use]
     pub fn f0_tracking_factory(&self, per_copy_delta: f64) -> MedianTrackingFactory<KmvFactory> {
         MedianTrackingFactory {
@@ -698,17 +595,81 @@ impl RobustBuilder {
         }
     }
 
-    fn crypto_f0_factory(&self) -> MedianTrackingFactory<KmvFactory> {
-        MedianTrackingFactory {
-            inner: KmvFactory {
-                config: KmvConfig::for_accuracy(self.epsilon / 2.0),
-            },
-            config: MedianTrackingConfig::for_strong_tracking(
-                self.epsilon / 2.0,
-                self.delta,
-                self.stream_length,
-            ),
-        }
+    /// The one route table: builds `strategy`'s core around a problem's
+    /// static factories and wraps it in the engine under `plan`. Problem
+    /// constructors reject the routes they do not admit before calling
+    /// it, and pass `Strategy::ComputationPaths` or `SketchSwitching`
+    /// themselves when that is their only route.
+    ///
+    /// This is the only place that knows how each route spends δ:
+    ///
+    /// * the pool routes build every copy from `pooled` at δ split evenly
+    ///   over the pool — λ copies' worth for switching (Lemma 3.6 charges
+    ///   a copy per flip, whatever size `pool` gives the rotation),
+    ///   [`DpAggregationConfig::copies_for_flip_budget`] for DP aggregation
+    ///   and the schedule's chunk count for difference estimators
+    ///   (`pooled` applies the problem's practical floor to that split);
+    /// * computation paths builds its one copy from `single` at Lemma
+    ///   3.8's union-bound δ₀, floored at the practical δ floor;
+    /// * the crypto route (Theorem 10.1, `F₀` only) masks items into one
+    ///   strong-tracking KMV ensemble at the full δ.
+    fn route<P, S>(
+        &self,
+        strategy: Strategy,
+        mut plan: RobustPlan,
+        pool: Option<SketchSwitchConfig>,
+        pooled: impl Fn(f64) -> P,
+        single: impl FnOnce(f64) -> S,
+    ) -> DynRobust
+    where
+        P: EstimatorFactory + Send + 'static,
+        P::Output: Send + 'static,
+        S: EstimatorFactory,
+        S::Output: Send + 'static,
+    {
+        let split = |copies: usize| self.delta / copies as f64;
+        let seed = self.seed;
+        let core: Box<dyn StrategyCore + Send> = match strategy {
+            Strategy::SketchSwitching => {
+                let pool = pool.expect("a problem with a switching route names its pool");
+                Box::new(SketchSwitch::new(pooled(split(plan.lambda)), pool, seed))
+            }
+            Strategy::ComputationPaths => {
+                let config = ComputationPathsConfig::from_plan(&plan);
+                let delta0 = config
+                    .required_delta_clamped()
+                    .max(self.practical_delta_floor);
+                Box::new(ComputationPaths::new(&single(delta0), config, seed))
+            }
+            Strategy::Crypto(backend) => {
+                let factory = MedianTrackingFactory {
+                    inner: KmvFactory {
+                        config: KmvConfig::for_accuracy(self.epsilon / 2.0),
+                    },
+                    config: MedianTrackingConfig::for_strong_tracking(
+                        self.epsilon / 2.0,
+                        self.delta,
+                        self.stream_length,
+                    ),
+                };
+                // The crypto argument needs no flip budget; report
+                // "unlimited" so budget_exceeded stays false.
+                plan.lambda = usize::MAX;
+                Box::new(CryptoMask::new(backend, &factory, seed))
+            }
+            Strategy::DpAggregation => {
+                let config = DpAggregationConfig::from_plan(&plan);
+                let factory = pooled(split(config.copies));
+                Box::new(DpAggregation::new(&factory, config, seed))
+            }
+            Strategy::DifferenceEstimators => {
+                let schedule = DifferenceSchedule::for_flip_budget(plan.lambda);
+                let factory = pooled(split(schedule.chunks()));
+                schedule.provision(&mut plan);
+                Box::new(DifferenceEstimators::new(&factory, schedule, seed))
+            }
+        };
+        Robustify::new(core, plan)
     }
 
     fn ensure_paths(&self, problem: &'static str) -> Result<(), BuildError> {
@@ -756,7 +717,11 @@ mod tests {
             Box::new(builder.bounded_deletion_fp(1.0, 2.0)),
             Box::new(builder.entropy()),
             Box::new(builder.heavy_hitters()),
-            Box::new(builder.crypto_f0()),
+            Box::new(
+                builder
+                    .strategy(Strategy::Crypto(CryptoBackend::default()))
+                    .f0(),
+            ),
         ];
         for mut estimator in estimators {
             for i in 0..300u64 {
@@ -803,6 +768,92 @@ mod tests {
                 .strategy_name(),
             "difference-estimators"
         );
+    }
+
+    fn kmv_factory() -> KmvFactory {
+        KmvFactory {
+            config: KmvConfig::for_accuracy(0.1),
+        }
+    }
+
+    const ALL_STRATEGIES: [Strategy; 6] = [
+        Strategy::SketchSwitching,
+        Strategy::ComputationPaths,
+        Strategy::Crypto(CryptoBackend::ChaChaPrf),
+        Strategy::Crypto(CryptoBackend::RandomOracle),
+        Strategy::DpAggregation,
+        Strategy::DifferenceEstimators,
+    ];
+
+    #[test]
+    fn every_strategy_wraps_the_same_factory() {
+        // The route table is generic over the static factory: every route
+        // but crypto (which masks into its own F0 ensemble) runs on a bare
+        // KMV sketch as readily as on the problem's own ingredient.
+        let builder = RobustBuilder::new(0.2).seed(1);
+        for strategy in ALL_STRATEGIES {
+            let pool = Some(SketchSwitchConfig::restarting(0.2));
+            let plan = RobustPlan::new(0.2, 500);
+            let mut robust =
+                builder.route(strategy, plan, pool, |_| kmv_factory(), |_| kmv_factory());
+            for i in 0..2_000u64 {
+                robust.insert(i % 700);
+            }
+            let est = robust.estimate();
+            assert!(
+                (est - 700.0).abs() <= 0.25 * 700.0,
+                "{strategy:?}: estimate {est} for 700 distinct"
+            );
+            assert!(robust.space_bytes() > 0, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn pool_routes_split_delta_over_their_copies() {
+        // Each pool route builds its copies at delta over its own copy
+        // count: lambda for switching (whatever pool the problem names),
+        // sqrt(lambda) for DP aggregation, the chunk count for difference
+        // estimators.
+        let lambda = 1_000;
+        let builder = RobustBuilder::new(0.2).delta(0.01).seed(2);
+        let schedule = DifferenceSchedule::for_flip_budget(lambda);
+        let dp_copies = DpAggregationConfig::copies_for_flip_budget(lambda);
+        for (strategy, split, copies) in [
+            (Strategy::SketchSwitching, lambda, 7),
+            (Strategy::DpAggregation, dp_copies, dp_copies),
+            (
+                Strategy::DifferenceEstimators,
+                schedule.chunks(),
+                schedule.chunks(),
+            ),
+        ] {
+            let seen = std::cell::Cell::new(0.0);
+            let pooled = |delta| {
+                seen.set(delta);
+                kmv_factory()
+            };
+            let pool = Some(SketchSwitchConfig::exhaustible(0.2, 7));
+            let plan = RobustPlan::new(0.2, lambda);
+            let robust = builder.route(strategy, plan, pool, pooled, |_| kmv_factory());
+            assert_eq!(seen.get(), 0.01 / split as f64, "{strategy:?}");
+            assert_eq!(RobustEstimator::copies(&robust), copies, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn crypto_strategy_reports_unlimited_budget() {
+        for backend in [CryptoBackend::ChaChaPrf, CryptoBackend::RandomOracle] {
+            let mut robust = RobustBuilder::new(0.2)
+                .strategy(Strategy::Crypto(backend))
+                .seed(7)
+                .f0();
+            for i in 0..5_000u64 {
+                robust.insert(i);
+            }
+            assert_eq!(robust.flip_budget(), usize::MAX);
+            assert!(!robust.budget_exceeded());
+            assert_eq!(robust.output_changes(), 0, "raw mode tracks no rounding");
+        }
     }
 
     #[test]
@@ -868,12 +919,13 @@ mod tests {
         // The preset must equal the explicit Theorem 10.1 configuration:
         // delta = 1/4 and the default crypto backend, hence the same
         // tracking ensemble under the same seed.
-        let preset = RobustBuilder::theorem_10_1(0.1).seed(3).crypto_f0();
+        let preset = RobustBuilder::theorem_10_1(0.1).seed(3).f0();
         let explicit = RobustBuilder::new(0.1)
             .delta(0.25)
             .strategy(Strategy::Crypto(CryptoBackend::default()))
             .seed(3)
-            .crypto_f0();
+            .f0();
+        assert_eq!(preset.strategy_name(), "crypto-mask");
         assert_eq!(preset.space_bytes(), explicit.space_bytes());
         // The preset pins delta = 1/4, against the shared default of 1e-3
         // — the footgun the preset exists to avoid. (At some parameter
@@ -963,14 +1015,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Theorem 10.1 construction")]
-    fn crypto_f0_rejects_conflicting_strategy() {
-        let _ = RobustBuilder::new(0.1)
-            .strategy(Strategy::SketchSwitching)
-            .crypto_f0();
-    }
-
-    #[test]
     #[should_panic(expected = "computation paths only")]
     fn rejects_switching_for_turnstile() {
         let _ = RobustBuilder::new(0.1)
@@ -1050,7 +1094,7 @@ mod tests {
                 .strategy(Strategy::Crypto(backend))
                 .stream_length(30_000)
                 .seed(3)
-                .crypto_f0();
+                .f0();
             let updates = UniformGenerator::new(1 << 16, 5).take_updates(30_000);
             let mut truth = FrequencyVector::new();
             let mut worst: f64 = 0.0;
@@ -1071,7 +1115,7 @@ mod tests {
         // The key property the Theorem 10.1 proof uses: repeats leave the
         // state unchanged, so an adversary replaying old items learns
         // nothing and changes nothing.
-        let mut robust = RobustBuilder::theorem_10_1(0.1).seed(7).crypto_f0();
+        let mut robust = RobustBuilder::theorem_10_1(0.1).seed(7).f0();
         for i in 0..2_000u64 {
             robust.insert(i);
         }
@@ -1089,9 +1133,7 @@ mod tests {
         use ars_sketch::kmv::{KmvConfig, KmvFactory};
         use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
 
-        let robust = RobustBuilder::theorem_10_1(0.1)
-            .stream_length(1 << 16)
-            .crypto_f0();
+        let robust = RobustBuilder::theorem_10_1(0.1).stream_length(1 << 16).f0();
         let static_sketch = MedianTrackingFactory {
             inner: KmvFactory {
                 config: KmvConfig::for_accuracy(0.05),
@@ -1107,7 +1149,7 @@ mod tests {
 
     #[test]
     fn deletions_are_ignored() {
-        let mut robust = RobustBuilder::theorem_10_1(0.2).seed(9).crypto_f0();
+        let mut robust = RobustBuilder::theorem_10_1(0.2).seed(9).f0();
         robust.insert(1);
         robust.update(Update::delete(1));
         assert_eq!(robust.estimate(), 1.0);
@@ -1115,8 +1157,8 @@ mod tests {
 
     #[test]
     fn different_keys_give_different_internal_views_but_same_answers() {
-        let mut a = RobustBuilder::theorem_10_1(0.1).seed(1).crypto_f0();
-        let mut b = RobustBuilder::theorem_10_1(0.1).seed(2).crypto_f0();
+        let mut a = RobustBuilder::theorem_10_1(0.1).seed(1).f0();
+        let mut b = RobustBuilder::theorem_10_1(0.1).seed(2).f0();
         for i in 0..5_000u64 {
             a.insert(i);
             b.insert(i);
@@ -1127,7 +1169,7 @@ mod tests {
 
     #[test]
     fn raw_publication_reports_no_flip_budget() {
-        let robust = RobustBuilder::theorem_10_1(0.2).crypto_f0();
+        let robust = RobustBuilder::theorem_10_1(0.2).f0();
         assert_eq!(robust.flip_budget(), usize::MAX);
         assert!(!robust.budget_exceeded());
     }

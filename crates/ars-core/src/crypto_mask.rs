@@ -1,0 +1,105 @@
+//! The cryptographic transformation of Theorem 10.1: mask every inserted
+//! item through a secret PRF and feed the image to an ordinary static
+//! sketch.
+//!
+//! Only sound for sketches whose state is invariant under duplicate
+//! insertions (KMV, the level-list sketch): given that, any adaptive
+//! adversary is equivalent to one streaming `1, 2, 3, …`, i.e. a static
+//! adversary. Outputs are published raw ([`RoundingMode::Raw`]) — the
+//! argument does not go through ε-rounding, so the builder's crypto route
+//! reports no flip budget.
+
+use ars_hash::prf::{ChaChaPrf, Prf, RandomOracle};
+use ars_sketch::{Estimator, EstimatorFactory};
+use ars_stream::Update;
+
+use crate::engine::{RoundingMode, StrategyCore};
+
+/// Which keyed-function backend the cryptographic transformation uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CryptoBackend {
+    /// A concrete exponentially-secure PRF instantiated with ChaCha20 (the
+    /// "under a suitable cryptographic assumption" half of Theorem 10.1).
+    #[default]
+    ChaChaPrf,
+    /// An idealized random oracle (the random-oracle-model half); its
+    /// per-item images are not charged to the algorithm's space.
+    RandomOracle,
+}
+
+#[derive(Debug)]
+enum PrfBackend {
+    ChaCha(ChaChaPrf),
+    Oracle(RandomOracle),
+}
+
+impl PrfBackend {
+    fn evaluate(&mut self, item: u64) -> u64 {
+        match self {
+            Self::ChaCha(prf) => prf.evaluate(item),
+            Self::Oracle(oracle) => oracle.evaluate(item),
+        }
+    }
+
+    fn charged_state_bits(&self) -> usize {
+        match self {
+            Self::ChaCha(prf) => prf.charged_state_bits(),
+            Self::Oracle(oracle) => oracle.charged_state_bits(),
+        }
+    }
+}
+
+/// The strategy core of the cryptographic route: a keyed PRF plus one
+/// static sketch, publishing raw.
+pub struct CryptoMask<E> {
+    prf: PrfBackend,
+    sketch: E,
+}
+
+impl<E: Estimator> CryptoMask<E> {
+    /// Keys the PRF from `seed` and builds the one static sketch from
+    /// `factory` under an independent seed.
+    #[must_use]
+    pub fn new<F>(backend: CryptoBackend, factory: &F, seed: u64) -> Self
+    where
+        F: EstimatorFactory<Output = E>,
+    {
+        let prf = match backend {
+            CryptoBackend::ChaChaPrf => PrfBackend::ChaCha(ChaChaPrf::new(seed)),
+            CryptoBackend::RandomOracle => PrfBackend::Oracle(RandomOracle::new(seed)),
+        };
+        Self {
+            prf,
+            sketch: factory.build(seed.wrapping_add(1)),
+        }
+    }
+}
+
+impl<E: Estimator + Send> StrategyCore for CryptoMask<E> {
+    fn ingest(&mut self, update: Update) {
+        // Insertion-only model: deletions are ignored by the F0 family.
+        if update.delta <= 0 {
+            return;
+        }
+        let masked = self.prf.evaluate(update.item);
+        self.sketch.update(Update::new(masked, update.delta));
+    }
+
+    fn raw_estimate(&self) -> f64 {
+        self.sketch.estimate()
+    }
+
+    fn space_bytes(&self) -> usize {
+        // The static sketch plus the *charged* PRF state (the key for the
+        // concrete PRF; only the seed in the random-oracle model).
+        self.sketch.space_bytes() + self.prf.charged_state_bits().div_ceil(8)
+    }
+
+    fn rounding_mode(&self) -> RoundingMode {
+        RoundingMode::Raw
+    }
+
+    fn strategy_name(&self) -> &'static str {
+        "crypto-mask"
+    }
+}

@@ -55,8 +55,7 @@
 use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
 
-use crate::engine::{derive_seed, DynRobust, RobustPlan, Robustify, StrategyCore};
-use crate::strategy::RobustStrategy;
+use crate::engine::{derive_seed, RobustPlan, StrategyCore};
 
 /// The geometric chunk schedule: one flip budget per chunk, one sketch
 /// copy per chunk.
@@ -126,6 +125,15 @@ impl DifferenceSchedule {
             chunks: self.chunks(),
             total_flip_budget: self.total_flip_budget(),
         }
+    }
+
+    /// Threads the per-chunk accounting through `plan`: λ becomes the
+    /// provisioned total `Σ_j b_j` (so readings report the improved
+    /// budget), and [`RobustPlan::difference_schedule`] carries the chunk
+    /// count next to it for reports.
+    pub fn provision(&self, plan: &mut RobustPlan) {
+        plan.lambda = self.total_flip_budget();
+        plan.difference_schedule = Some(self.info());
     }
 }
 
@@ -272,58 +280,12 @@ where
     }
 }
 
-/// Difference estimators as a [`RobustStrategy`]: `O(log λ)` copies on a
-/// geometric chunk schedule, telescoped difference publication, per-chunk
-/// flip budgets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DifferenceEstimatorsStrategy {
-    /// Explicit schedule override; `None` derives one from the plan's λ
-    /// (treating `plan.lambda` as the analytic flip budget).
-    pub schedule: Option<DifferenceSchedule>,
-}
-
-impl DifferenceEstimatorsStrategy {
-    /// A strategy with an explicit, pre-computed schedule (what the
-    /// builder passes, so the plan's λ and the pool agree exactly).
-    #[must_use]
-    pub fn with_schedule(schedule: DifferenceSchedule) -> Self {
-        Self {
-            schedule: Some(schedule),
-        }
-    }
-}
-
-impl RobustStrategy for DifferenceEstimatorsStrategy {
-    fn name(&self) -> &'static str {
-        "difference-estimators"
-    }
-
-    fn wrap<F>(&self, factory: F, plan: &RobustPlan, seed: u64) -> DynRobust
-    where
-        F: EstimatorFactory + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        let schedule = self
-            .schedule
-            .clone()
-            .unwrap_or_else(|| DifferenceSchedule::for_flip_budget(plan.lambda));
-        let mut plan = *plan;
-        // Thread the per-chunk accounting through the plan: readings report
-        // the provisioned (improved) budget, and reports can show the chunk
-        // count next to the copy count.
-        plan.lambda = schedule.total_flip_budget();
-        plan.difference_schedule = Some(schedule.info());
-        let core: Box<dyn StrategyCore + Send> =
-            Box::new(DifferenceEstimators::new(&factory, schedule, seed));
-        Robustify::new(core, plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::RobustEstimator;
     use crate::dp_aggregation::DpAggregationConfig;
+    use crate::engine::{DynRobust, Robustify};
     use crate::sketch_switch::SketchSwitchConfig;
     use ars_sketch::kmv::{KmvConfig, KmvFactory};
     use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
@@ -340,8 +302,11 @@ mod tests {
     }
 
     fn de_engine(epsilon: f64, lambda: usize, seed: u64) -> DynRobust {
-        let plan = RobustPlan::new(epsilon, lambda);
-        DifferenceEstimatorsStrategy::default().wrap(tracked_kmv_factory(epsilon), &plan, seed)
+        let mut plan = RobustPlan::new(epsilon, lambda);
+        let schedule = DifferenceSchedule::for_flip_budget(lambda);
+        schedule.provision(&mut plan);
+        let core = DifferenceEstimators::new(&tracked_kmv_factory(epsilon), schedule, seed);
+        Robustify::new(Box::new(core), plan)
     }
 
     #[test]

@@ -41,9 +41,8 @@ use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::engine::{derive_seed, DynRobust, RobustPlan, Robustify, StrategyCore};
+use crate::engine::{derive_seed, RobustPlan, StrategyCore};
 use crate::rounding::within_window;
-use crate::strategy::RobustStrategy;
 
 /// Configuration of the DP-aggregation pool and its mechanisms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,47 +294,11 @@ where
     }
 }
 
-/// DP aggregation as a [`RobustStrategy`]: `O(√λ)` copies, private-median
-/// answers, SVT-gated republication.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DpAggregationStrategy {
-    /// Explicit configuration override; `None` derives one from the plan.
-    pub config: Option<DpAggregationConfig>,
-}
-
-impl DpAggregationStrategy {
-    /// A strategy with an explicit configuration.
-    #[must_use]
-    pub fn with_config(config: DpAggregationConfig) -> Self {
-        Self {
-            config: Some(config),
-        }
-    }
-}
-
-impl RobustStrategy for DpAggregationStrategy {
-    fn name(&self) -> &'static str {
-        "dp-aggregation"
-    }
-
-    fn wrap<F>(&self, factory: F, plan: &RobustPlan, seed: u64) -> DynRobust
-    where
-        F: EstimatorFactory + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        let config = self
-            .config
-            .unwrap_or_else(|| DpAggregationConfig::from_plan(plan));
-        let core: Box<dyn StrategyCore + Send> =
-            Box::new(DpAggregation::new(&factory, config, seed));
-        Robustify::new(core, *plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::RobustEstimator;
+    use crate::engine::{DynRobust, Robustify};
     use crate::sketch_switch::SketchSwitchConfig;
     use ars_sketch::kmv::{KmvConfig, KmvFactory};
     use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
@@ -354,7 +317,9 @@ mod tests {
     fn dp_engine(epsilon: f64, lambda: usize, seed: u64) -> DynRobust {
         let mut plan = RobustPlan::new(epsilon, lambda);
         plan.value_range = 1e9;
-        DpAggregationStrategy::default().wrap(tracked_kmv_factory(epsilon), &plan, seed)
+        let config = DpAggregationConfig::from_plan(&plan);
+        let core = DpAggregation::new(&tracked_kmv_factory(epsilon), config, seed);
+        Robustify::new(Box::new(core), plan)
     }
 
     #[test]

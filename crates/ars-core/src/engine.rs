@@ -18,13 +18,14 @@
 //! * computation paths ([`crate::computation_paths::ComputationPaths`])
 //!   keeps a single tiny-δ copy and does nothing on publication — the
 //!   union bound over output sequences does the work;
-//! * the cryptographic route ([`crate::strategy::CryptoMaskStrategy`]) masks items through a
-//!   PRF and publishes raw estimates ([`RoundingMode::Raw`]).
+//! * the cryptographic route ([`crate::crypto_mask::CryptoMask`]) masks
+//!   items through a PRF and publishes raw estimates
+//!   ([`RoundingMode::Raw`]).
 //!
-//! New strategies implement [`StrategyCore`] +
-//! [`crate::strategy::RobustStrategy`] and inherit the whole engine,
-//! builder and trait-object surface for free — the differential-privacy
-//! wrapper ([`crate::dp_aggregation`]) and the difference estimators
+//! A new strategy implements [`StrategyCore`], gains one arm in the
+//! builder's route table, and inherits the whole engine, builder and
+//! trait-object surface for free — the differential-privacy pool
+//! ([`crate::dp_aggregation`]) and the difference estimators
 //! ([`crate::difference_estimators`]) both arrived exactly this way; see
 //! `docs/ARCHITECTURE.md` for the worked recipe.
 

@@ -16,24 +16,25 @@
 //!   ε-rounding of published outputs, the flip-number budget, the switch
 //!   accounting and the space accounting; everything that is shared between
 //!   the paper's constructions exists exactly once, here.
-//! * [`engine::StrategyCore`] / [`strategy::RobustStrategy`] — the seam
-//!   along which the constructions differ. Implemented by
-//!   [`sketch_switch::SketchSwitch`] (Algorithm 1 / Theorem 4.1),
-//!   [`computation_paths::ComputationPaths`] (Lemma 3.8), the PRF-masking
-//!   [`strategy::CryptoMaskStrategy`] (Theorem 10.1), the DP-aggregation
-//!   wrapper [`dp_aggregation::DpAggregation`] of Hassidim et al. 2020
-//!   (`O(√λ)` copies answering through a private median, built on the
-//!   `ars-dp` mechanism crate), and the difference estimators
+//! * [`engine::StrategyCore`] — the seam along which the constructions
+//!   differ, one core per route: [`sketch_switch::SketchSwitch`]
+//!   (Algorithm 1 / Theorem 4.1), [`computation_paths::ComputationPaths`]
+//!   (Lemma 3.8), the PRF-masking [`crypto_mask::CryptoMask`]
+//!   (Theorem 10.1), the DP-aggregation pool
+//!   [`dp_aggregation::DpAggregation`] of Hassidim et al. 2020 (`O(√λ)`
+//!   copies answering through a private median, built on the `ars-dp`
+//!   mechanism crate), and the difference estimators
 //!   [`difference_estimators::DifferenceEstimators`] of Attias et al. 2022
 //!   (`O(log λ)` copies on a geometric chunk schedule publishing telescoped
-//!   difference estimates, with per-chunk flip budgets). Further follow-up
-//!   frameworks are new implementations of this trait, nothing more — the
-//!   repo-level `docs/ARCHITECTURE.md` walks through the recipe with
-//!   difference estimators as the worked example.
+//!   difference estimates, with per-chunk flip budgets). A further
+//!   follow-up framework is one more core plus one arm in the builder's
+//!   route table — the repo-level `docs/ARCHITECTURE.md` walks through the
+//!   recipe with difference estimators as the worked example.
 //! * [`builder::RobustBuilder`] — the single builder. Problem-specific
 //!   constructors (`.f0()`, `.fp(p)`, `.entropy()`, …) are thin factory
 //!   selections that compute the problem's flip number and pick the static
-//!   sketch; every knob (ε, δ, m, n, M, seed, strategy) is shared.
+//!   sketch; one private route table builds the chosen strategy's core, and
+//!   every knob (ε, δ, m, n, M, seed, strategy) is shared.
 //! * [`api::RobustEstimator`] — the object-safe trait every estimator
 //!   implements, including the batched hot path
 //!   [`api::RobustEstimator::update_batch`] (amortized rounding/switch
@@ -104,20 +105,22 @@
 //! | Theorem 1.9 (`L₂` heavy hitters) | [`RobustBuilder::heavy_hitters`] (the bespoke [`robust_heavy_hitters::RobustL2HeavyHitters`]) |
 //! | Theorem 1.10 (entropy) | [`RobustBuilder::entropy`] |
 //! | Theorem 1.11 (bounded deletions) | [`RobustBuilder::bounded_deletion_fp`] |
-//! | Theorem 10.1 (crypto / random oracle) | [`RobustBuilder::crypto_f0`] (or `.strategy(Strategy::Crypto(..)).f0()`) |
+//! | Theorem 10.1 (crypto / random oracle) | `.strategy(Strategy::Crypto(..)).f0()` → [`crypto_mask::CryptoMask`] ([`RobustBuilder::theorem_10_1`] presets it with δ = 1/4) |
 //! | Hassidim et al. 2020 (`O(√λ)` DP pool) | `.strategy(Strategy::DpAggregation)` → [`dp_aggregation::DpAggregation`] |
 //! | Attias et al. 2022 (`O(log λ)` chunk pool) | `.strategy(Strategy::DifferenceEstimators)` → [`difference_estimators::DifferenceEstimators`] |
 //!
-//! The supporting machinery — ε-rounding ([`rounding`]) and flip-number
-//! bounds ([`flip_number`]) — is public as well, so new robust estimators
-//! can be assembled from any static sketch implementing
-//! [`ars_sketch::EstimatorFactory`] through [`RobustBuilder::custom`].
+//! The supporting machinery — ε-rounding ([`rounding`]), flip-number
+//! bounds ([`flip_number`]) and the cores themselves — is public as well,
+//! so a robust estimator can be assembled from any static sketch
+//! implementing [`ars_sketch::EstimatorFactory`] by handing a core to
+//! [`Robustify::new`] under a [`RobustPlan`].
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod builder;
 pub mod computation_paths;
+pub mod crypto_mask;
 pub mod difference_estimators;
 pub mod dp_aggregation;
 pub mod engine;
@@ -133,15 +136,13 @@ pub mod rounding;
 pub mod session;
 pub mod sketch_switch;
 pub mod spec;
-pub mod strategy;
 
 pub use api::RobustEstimator;
 pub use builder::{RobustBuilder, Strategy};
 pub use computation_paths::{ComputationPaths, ComputationPathsConfig};
-pub use difference_estimators::{
-    ChunkScheduleInfo, DifferenceEstimators, DifferenceEstimatorsStrategy, DifferenceSchedule,
-};
-pub use dp_aggregation::{DpAggregation, DpAggregationConfig, DpAggregationStrategy};
+pub use crypto_mask::CryptoBackend;
+pub use difference_estimators::{ChunkScheduleInfo, DifferenceEstimators, DifferenceSchedule};
+pub use dp_aggregation::{DpAggregation, DpAggregationConfig};
 pub use engine::{DynRobust, PublicationState, RobustPlan, Robustify, RoundingMode, StrategyCore};
 pub use error::{ArsError, BuildError};
 pub use estimate::{Estimate, FlipBudget, Guarantee, Health};
@@ -155,7 +156,3 @@ pub use rounding::{round_to_power, EpsilonRounder};
 pub use session::StreamSession;
 pub use sketch_switch::{SketchSwitch, SketchSwitchConfig, SwitchStrategy};
 pub use spec::{ProblemSpec, ProvisionerSpec};
-pub use strategy::{
-    ComputationPathsStrategy, CryptoBackend, CryptoMaskStrategy, PoolPolicy, RobustStrategy,
-    SketchSwitchStrategy,
-};

@@ -571,8 +571,8 @@ impl std::fmt::Debug for SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto_mask::CryptoBackend;
     use crate::spec::ProblemSpec;
-    use crate::strategy::CryptoBackend;
     use crate::Strategy;
     use ars_stream::generator::{Generator, TurnstileWaveGenerator};
 

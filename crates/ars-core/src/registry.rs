@@ -17,10 +17,10 @@ use ars_stream::{StreamModel, Update};
 
 use crate::api::RobustEstimator;
 use crate::builder::{RobustBuilder, Strategy};
+use crate::crypto_mask::CryptoBackend;
 use crate::flip_number::FlipNumberBound;
 use crate::robust_entropy::EntropyMethod;
 use crate::session::StreamSession;
-use crate::strategy::CryptoBackend;
 
 /// Shared parameters for one registry instantiation.
 #[derive(Debug, Clone, Copy)]
@@ -221,7 +221,12 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         workload: ReferenceWorkload::Uniform,
         error_budget: eps * 1.3,
         min_truth: 200.0,
-        estimator: Box::new(params.builder(3).crypto_f0()),
+        estimator: Box::new(
+            params
+                .builder(3)
+                .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+                .f0(),
+        ),
     });
     entries.push(RegistryEntry {
         id: "f0/crypto-oracle",
@@ -236,7 +241,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             params
                 .builder(4)
                 .strategy(Strategy::Crypto(CryptoBackend::RandomOracle))
-                .crypto_f0(),
+                .f0(),
         ),
     });
 

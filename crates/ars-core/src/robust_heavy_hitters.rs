@@ -70,8 +70,9 @@ impl RobustL2HeavyHitters {
         // The norm estimator only gates switch times and the reporting
         // threshold, so a constant-factor accuracy floor keeps its pool ×
         // rows cost bounded without affecting the point-query error, which
-        // is governed by the CountSketch width (documented constant
-        // substitution in DESIGN.md).
+        // is governed by the CountSketch width (a documented constant
+        // substitution; see the constant-substitution step of the strategy
+        // recipe in docs/ARCHITECTURE.md).
         let norm_epsilon = epsilon.max(0.2);
         let norm_estimator = RobustBuilder::new(norm_epsilon)
             .delta(delta / 2.0)

@@ -15,9 +15,9 @@ use ars_stream::StreamModel;
 
 use crate::api::RobustEstimator;
 use crate::builder::{RobustBuilder, Strategy};
-use crate::error::ArsError;
+use crate::crypto_mask::CryptoBackend;
+use crate::error::{ArsError, BuildError};
 use crate::json::{JsonValue, JsonWriter};
-use crate::strategy::CryptoBackend;
 
 /// Which problem a [`ProvisionerSpec`] provisions, with the per-problem
 /// parameters that are not shared builder knobs. Mirrors the constructors
@@ -61,8 +61,10 @@ pub enum ProblemSpec {
     /// is bespoke (no engine publication seam), so its restored readings
     /// are within-guarantee rather than bitwise-stable.
     HeavyHitters,
-    /// The cryptographic `F₀` route (Theorem 10.1) —
-    /// [`RobustBuilder::crypto_f0`].
+    /// The cryptographic `F₀` route (Theorem 10.1) — [`RobustBuilder::f0`]
+    /// under [`Strategy::Crypto`], with the default backend unless the
+    /// spec selects one. Kept as its own problem so specs and snapshots
+    /// that name `"crypto-f0"` still build.
     CryptoF0,
 }
 
@@ -256,7 +258,22 @@ impl ProvisionerSpec {
             }
             ProblemSpec::Entropy => Box::new(builder.try_entropy()?),
             ProblemSpec::HeavyHitters => Box::new(builder.try_heavy_hitters()?),
-            ProblemSpec::CryptoF0 => Box::new(builder.try_crypto_f0()?),
+            ProblemSpec::CryptoF0 => {
+                let backend = match self.strategy {
+                    None => CryptoBackend::default(),
+                    Some(Strategy::Crypto(backend)) => backend,
+                    Some(_) => {
+                        return Err(BuildError::StrategyMismatch {
+                            problem: "crypto-f0",
+                            detail: "crypto-f0 is the Theorem 10.1 construction; select the \
+                                     backend with Strategy::Crypto(..) or leave the strategy \
+                                     unset",
+                        }
+                        .into())
+                    }
+                };
+                Box::new(builder.strategy(Strategy::Crypto(backend)).try_f0()?)
+            }
         })
     }
 
@@ -498,6 +515,43 @@ mod tests {
         let mismatched = ProvisionerSpec::new(ProblemSpec::Fp { p: 2.0 }, 0.2)
             .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf));
         assert!(matches!(mismatched.build(None), Err(ArsError::Build(_))));
+        // The wire parses 1e999 as infinity; the builders must refuse it
+        // rather than provision a tenant around it.
+        for (body, field) in [
+            (
+                "{\"problem\":\"fp-large\",\"epsilon\":0.3,\"p\":1e999}",
+                "p",
+            ),
+            (
+                "{\"problem\":\"bounded-deletion-fp\",\"epsilon\":0.3,\"p\":2,\"alpha\":1e999}",
+                "alpha",
+            ),
+        ] {
+            let spec = ProvisionerSpec::try_from_json(body).unwrap();
+            match spec.build(None) {
+                Err(ArsError::Build(BuildError::OutOfRange { field: got, .. })) => {
+                    assert_eq!(got, field, "{body}");
+                }
+                Err(other) => panic!("{body}: expected OutOfRange, got {other:?}"),
+                Ok(_) => panic!("{body}: built a tenant around an infinite parameter"),
+            }
+        }
+    }
+
+    #[test]
+    fn crypto_f0_spec_rejects_conflicting_strategy() {
+        // "crypto-f0" is the Theorem 10.1 construction: it takes a crypto
+        // backend or none (the default), and refuses every other route.
+        let spec = ProvisionerSpec::new(ProblemSpec::CryptoF0, 0.1);
+        assert_eq!(spec.build(None).unwrap().strategy_name(), "crypto-mask");
+        let conflicting = spec.strategy(Strategy::SketchSwitching).build(None);
+        match conflicting {
+            Err(ArsError::Build(BuildError::StrategyMismatch { detail, .. })) => {
+                assert!(detail.contains("Theorem 10.1 construction"), "{detail}");
+            }
+            Err(other) => panic!("expected StrategyMismatch, got {other:?}"),
+            Ok(_) => panic!("crypto-f0 built under sketch switching"),
+        }
     }
 
     #[test]

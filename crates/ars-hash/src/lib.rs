@@ -11,10 +11,6 @@
 //!   polynomials with random coefficients, including the fast multipoint
 //!   batching used by the fast `F_0` algorithm (Section 5.1 /
 //!   Proposition 5.3's role).
-//! * [`multiply_shift::MultiplyShiftHash`] — cheap 2-universal hashing used
-//!   where pairwise independence suffices.
-//! * [`tabulation::TabulationHash`] — simple tabulation hashing, 3-wise
-//!   independent with strong Chernoff-style concentration in practice.
 //! * [`chacha`] / [`prf`] — a from-scratch ChaCha20 block function used as
 //!   the exponentially-secure PRF of Section 10, plus a [`prf::RandomOracle`]
 //!   abstraction for the random-oracle model results.
@@ -25,8 +21,6 @@
 //! |---|---|
 //! | [`field`] | substrate for every polynomial hash family below |
 //! | [`kwise`] | Section 5.1 fast `F₀` (multipoint evaluation, Proposition 5.3's role) |
-//! | [`multiply_shift`] | 2-universal hashing wherever pairwise independence suffices |
-//! | [`tabulation`] | bucketing in the static sketches of Sections 5–6 |
 //! | [`chacha`], [`prf`] | Theorem 10.1 (crypto transformation; PRF and random-oracle halves) |
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,11 +28,7 @@
 pub mod chacha;
 pub mod field;
 pub mod kwise;
-pub mod multiply_shift;
 pub mod prf;
-pub mod tabulation;
 
 pub use kwise::{KWiseHash, SignHash};
-pub use multiply_shift::MultiplyShiftHash;
 pub use prf::{ChaChaPrf, Prf, RandomOracle};
-pub use tabulation::TabulationHash;

@@ -15,7 +15,8 @@
 //! log n)` space shape as the Ganguly–Woodruff sketch the paper cites
 //! (\[14\]); the full recursive subsampling machinery of \[14\] is orthogonal
 //! to the robustification overhead measured by the benchmarks, so it is
-//! omitted (documented substitution in DESIGN.md).
+//! omitted (a documented substitution; see the constant-substitution step
+//! of the strategy recipe in `docs/ARCHITECTURE.md`).
 
 use ars_stream::Update;
 

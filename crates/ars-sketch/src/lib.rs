@@ -13,7 +13,6 @@
 //! |---|---|---|
 //! | [`ams`] | Alon–Matias–Szegedy F₂ sketch | Theorem 9.1 (attack target), F₂ baseline |
 //! | [`countsketch`] | CountSketch point queries / L₂ heavy hitters | Theorem 6.5 |
-//! | [`countmin`] | Count-Min L₁ point queries | heavy-hitters baselines |
 //! | [`kmv`] | bottom-k (KMV) distinct elements | Theorem 1.1 static ingredient |
 //! | [`fast_f0`] | level-list distinct elements (Algorithm 2) | Lemma 5.2 / Theorem 5.4 |
 //! | [`pstable`] | p-stable Fₚ estimation, 0 < p ≤ 2 | Theorems 1.4, 1.5, 4.3 |
@@ -37,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod ams;
-pub mod countmin;
 pub mod countsketch;
 pub mod entropy;
 pub mod f1;
@@ -49,7 +47,6 @@ pub mod pstable;
 pub mod tracking;
 
 pub use ams::{AmsConfig, AmsSketch};
-pub use countmin::{CountMinConfig, CountMinSketch};
 pub use countsketch::{CountSketch, CountSketchConfig};
 pub use entropy::{
     RenyiEntropyConfig, RenyiEntropyEstimator, SampledEntropyConfig, SampledEntropyEstimator,

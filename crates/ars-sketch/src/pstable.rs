@@ -89,8 +89,9 @@ impl PStableConfig {
     /// Sizes the sketch for a `(1 ± ε)` estimate with per-query failure
     /// probability δ: the median-over-rows estimator concentrates
     /// exponentially in the row count, so rows scale as
-    /// `Θ(ε^{-2} log(1/δ))`. The `log(1/δ)` boost is capped (part of the
-    /// documented constant-factor substitutions in DESIGN.md) so the
+    /// `Θ(ε^{-2} log(1/δ))`. The `log(1/δ)` boost is capped (one of the
+    /// documented constant substitutions; see the constant-substitution
+    /// step of the strategy recipe in `docs/ARCHITECTURE.md`) so the
     /// composite robust estimators stay laptop-runnable.
     #[must_use]
     pub fn for_tracking(p: f64, epsilon: f64, delta: f64) -> Self {

@@ -38,8 +38,9 @@ impl MedianTrackingConfig {
     /// laptop-friendly 9 copies: the asymptotic *shape* of every space
     /// bound is preserved while keeping the per-update work of the
     /// composite robust estimators (pool size × copies × sketch size)
-    /// tractable for the experiments. The cap is part of the documented
-    /// constant-factor substitutions in DESIGN.md.
+    /// tractable for the experiments. The cap is one of the documented
+    /// constant substitutions (the constant-substitution step of the
+    /// strategy recipe in `docs/ARCHITECTURE.md`).
     #[must_use]
     pub fn for_failure_probability(delta: f64) -> Self {
         assert!(delta > 0.0 && delta < 1.0);

@@ -109,7 +109,7 @@ fn main() {
                 builder
                     .seed(9)
                     .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                    .crypto_f0(),
+                    .f0(),
             ),
         ),
     ];
@@ -137,7 +137,7 @@ fn main() {
                     builder
                         .seed(9)
                         .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                        .crypto_f0(),
+                        .f0(),
                 ),
             ),
         ),

@@ -6,8 +6,8 @@
 //!
 //! * [`stream`] — stream model, frequency vectors, workload generators and
 //!   exact reference statistics ([`ars_stream`]).
-//! * [`hash`] — k-wise independent hashing, tabulation hashing and a
-//!   from-scratch ChaCha20 PRF / random oracle ([`ars_hash`]).
+//! * [`hash`] — k-wise independent hashing and a from-scratch ChaCha20
+//!   PRF / random oracle ([`ars_hash`]).
 //! * [`sketch`] — static (non-robust) sketches: AMS, CountSketch, KMV,
 //!   p-stable Fp, entropy, Misra–Gries, and strong-tracking wrappers
 //!   ([`ars_sketch`]).
@@ -16,9 +16,9 @@
 //!   private median ([`ars_dp`]).
 //! * [`robust`] — the paper's contribution as a *generic transformation*:
 //!   the [`robust::Robustify`] engine, the strategy seam
-//!   ([`robust::RobustStrategy`]: sketch switching, computation paths,
-//!   crypto masking, DP aggregation, difference estimators), the single
-//!   [`robust::RobustBuilder`], the object-safe
+//!   ([`robust::StrategyCore`]: one core each for sketch switching,
+//!   computation paths, crypto masking, DP aggregation and difference
+//!   estimators), the single [`robust::RobustBuilder`], the object-safe
 //!   [`robust::RobustEstimator`] trait with a batched update path, and the
 //!   typed serving layer — model-enforcing [`robust::StreamSession`]s over
 //!   tiered validators and the multi-tenant [`robust::SessionManager`]

@@ -7,8 +7,8 @@
 use adversarial_robust_streaming::robust::registry::RegistryEntry;
 use adversarial_robust_streaming::robust::{
     standard_registry, ArsError, CryptoBackend, DifferenceSchedule, DpAggregationConfig, Estimate,
-    FlipBudget, Health, RegistryParams, RobustBuilder, RobustEstimator, SketchSwitchConfig,
-    Strategy, StreamSession,
+    FlipBudget, Health, ProblemSpec, ProvisionerSpec, RegistryParams, RobustBuilder,
+    RobustEstimator, SketchSwitchConfig, Strategy, StreamSession,
 };
 use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::generator::Generator;
@@ -110,13 +110,15 @@ fn raw_mode_batching_is_bitwise_identical() {
     let mut per_update = RobustBuilder::new(p.epsilon)
         .stream_length(p.stream_length)
         .domain(p.domain)
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
         .seed(9)
-        .crypto_f0();
+        .f0();
     let mut batched = RobustBuilder::new(p.epsilon)
         .stream_length(p.stream_length)
         .domain(p.domain)
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
         .seed(9)
-        .crypto_f0();
+        .f0();
     let updates =
         adversarial_robust_streaming::stream::generator::UniformGenerator::new(p.domain, 7)
             .take_updates(p.stream_length as usize);
@@ -273,11 +275,11 @@ fn theorem_10_1_preset_reproduces_the_legacy_crypto_sketch() {
         .strategy(Strategy::Crypto(CryptoBackend::default()))
         .stream_length(p.stream_length)
         .seed(9)
-        .crypto_f0();
+        .f0();
     let mut preset = RobustBuilder::theorem_10_1(p.epsilon)
         .stream_length(p.stream_length)
         .seed(9)
-        .crypto_f0();
+        .f0();
     assert_eq!(legacy.space_bytes(), preset.space_bytes());
     let updates =
         adversarial_robust_streaming::stream::generator::UniformGenerator::new(p.domain, 3)
@@ -505,16 +507,23 @@ fn try_build_surfaces_structured_errors_for_every_rejected_range() {
         assert_eq!(field, "p");
         assert_eq!(value, bad_p);
     }
-    let (field, value, _) = out_of_range(b.try_fp_large(2.0).unwrap_err());
-    assert_eq!((field, value), ("p", 2.0));
+    for bad_p in [2.0, f64::NAN, f64::INFINITY] {
+        let (field, value, _) = out_of_range(b.try_fp_large(bad_p).unwrap_err());
+        assert_eq!(field, "p");
+        assert_eq!(value.to_bits(), bad_p.to_bits());
+    }
     let (field, value, _) = out_of_range(b.try_turnstile_fp(3.0, 10).unwrap_err());
     assert_eq!((field, value), ("p", 3.0));
     let (field, value, _) = out_of_range(b.try_turnstile_fp(2.0, 0).unwrap_err());
     assert_eq!((field, value), ("lambda", 0.0));
     let (field, value, _) = out_of_range(b.try_bounded_deletion_fp(0.5, 2.0).unwrap_err());
     assert_eq!((field, value), ("p", 0.5));
-    let (field, value, _) = out_of_range(b.try_bounded_deletion_fp(1.0, 0.5).unwrap_err());
-    assert_eq!((field, value), ("alpha", 0.5));
+    for bad_alpha in [0.5, f64::NAN, f64::INFINITY] {
+        let (field, value, _) =
+            out_of_range(b.try_bounded_deletion_fp(1.0, bad_alpha).unwrap_err());
+        assert_eq!(field, "alpha");
+        assert_eq!(value.to_bits(), bad_alpha.to_bits());
+    }
 
     // Strategy conflicts carry the problem and the paper's reason.
     assert!(matches!(
@@ -530,7 +539,9 @@ fn try_build_surfaces_structured_errors_for_every_rejected_range() {
         Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
     ));
     assert!(matches!(
-        b.strategy(Strategy::SketchSwitching).try_crypto_f0(),
+        ProvisionerSpec::new(ProblemSpec::CryptoF0, 0.1)
+            .strategy(Strategy::SketchSwitching)
+            .build(None),
         Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
     ));
     assert!(matches!(
@@ -547,7 +558,10 @@ fn try_build_surfaces_structured_errors_for_every_rejected_range() {
     assert!(b.try_bounded_deletion_fp(1.0, 2.0).is_ok());
     assert!(b.try_entropy().is_ok());
     assert!(b.try_heavy_hitters().is_ok());
-    assert!(b.try_crypto_f0().is_ok());
+    assert!(b
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
+        .try_f0()
+        .is_ok());
 }
 
 /// A deterministic adversarial sequence for `model`: seeded, biased

@@ -10,7 +10,9 @@ use adversarial_robust_streaming::adversary::game::ReplayAdversary;
 use adversarial_robust_streaming::adversary::{
     Adversary, DistinctDuplicateAdversary, GameConfig, GameRunner, SurgeAdversary,
 };
-use adversarial_robust_streaming::robust::{RobustBuilder, RobustEstimator, Strategy};
+use adversarial_robust_streaming::robust::{
+    CryptoBackend, RobustBuilder, RobustEstimator, Strategy,
+};
 use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::exact::Query;
 use adversarial_robust_streaming::stream::generator::{
@@ -42,7 +44,15 @@ fn adaptive_adversaries_fool_no_robust_f0_route() {
             "computation paths",
             Box::new(builder.seed(4).strategy(Strategy::ComputationPaths).f0()),
         ),
-        ("crypto PRF", Box::new(builder.seed(5).crypto_f0())),
+        (
+            "crypto PRF",
+            Box::new(
+                builder
+                    .seed(5)
+                    .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+                    .f0(),
+            ),
+        ),
     ];
     for (label, mut robust) in contenders {
         let mut adversary = DistinctDuplicateAdversary::new(epsilon).with_min_count(300);

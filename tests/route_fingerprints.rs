@@ -115,7 +115,7 @@ fn routes() -> Vec<Route> {
         .stream_length(UPDATES as u64)
         .domain(DOMAIN)
         .seed(2_024)
-        .crypto_f0();
+        .f0();
     routes.push(("f0", "theorem-10-1", preset, insertion_only()));
     routes
 }
