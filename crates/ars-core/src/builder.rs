@@ -776,22 +776,20 @@ mod tests {
         }
     }
 
-    const ALL_STRATEGIES: [Strategy; 6] = [
-        Strategy::SketchSwitching,
-        Strategy::ComputationPaths,
-        Strategy::Crypto(CryptoBackend::ChaChaPrf),
-        Strategy::Crypto(CryptoBackend::RandomOracle),
-        Strategy::DpAggregation,
-        Strategy::DifferenceEstimators,
-    ];
-
     #[test]
     fn every_strategy_wraps_the_same_factory() {
         // The route table is generic over the static factory: every route
         // but crypto (which masks into its own F0 ensemble) runs on a bare
         // KMV sketch as readily as on the problem's own ingredient.
         let builder = RobustBuilder::new(0.2).seed(1);
-        for strategy in ALL_STRATEGIES {
+        for strategy in [
+            Strategy::SketchSwitching,
+            Strategy::ComputationPaths,
+            Strategy::Crypto(CryptoBackend::ChaChaPrf),
+            Strategy::Crypto(CryptoBackend::RandomOracle),
+            Strategy::DpAggregation,
+            Strategy::DifferenceEstimators,
+        ] {
             let pool = Some(SketchSwitchConfig::restarting(0.2));
             let plan = RobustPlan::new(0.2, 500);
             let mut robust =

@@ -21,7 +21,8 @@ use crate::json::{JsonValue, JsonWriter};
 
 /// Which problem a [`ProvisionerSpec`] provisions, with the per-problem
 /// parameters that are not shared builder knobs. Mirrors the constructors
-/// on [`RobustBuilder`] one-for-one.
+/// on [`RobustBuilder`] one-for-one, plus [`ProblemSpec::CryptoF0`] for
+/// `f0` under the crypto route.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProblemSpec {
     /// Distinct elements (Theorems 1.1/1.2) — [`RobustBuilder::f0`].
