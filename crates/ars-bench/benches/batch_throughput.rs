@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use ars_core::{RobustBuilder, RobustEstimator, Strategy, StreamSession};
+use ars_core::{RobustBuilder, Strategy, StreamSession};
 use ars_sketch::Estimator;
 use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
 use ars_stream::{StreamModel, Update, ValidationTier};
@@ -225,8 +225,9 @@ fn bench_batching(c: &mut Criterion) {
          support): {reference_ns:.0} ns/update  => tiered session speedup {validator_speedup:.1}x"
     );
 
-    // Persist the trajectory point: ns/update for each variant, plus the
-    // batched-vs-per-update speedup per estimator.
+    // Persist the trajectory point: median ns/update for each variant with
+    // its min/max band, plus the batched-vs-per-update speedup per
+    // estimator.
     let mut json = String::from("{\"bench\":\"batch_throughput\",\"stream\":");
     json.push_str(&STREAM.to_string());
     json.push_str(",\"batch\":");
@@ -241,10 +242,13 @@ fn bench_batching(c: &mut Criterion) {
         } else {
             STREAM
         };
-        let ns_per_update = sample.median.as_nanos() as f64 / stream as f64;
+        let ns_per_update = |d: std::time::Duration| d.as_nanos() as f64 / stream as f64;
         json.push_str(&format!(
-            "{{\"id\":\"{}\",\"ns_per_update\":{ns_per_update:.1}}}",
-            sample.id
+            "{{\"id\":\"{}\",\"ns_per_update\":{:.1},\"min_ns_per_update\":{:.1},\"max_ns_per_update\":{:.1}}}",
+            sample.id,
+            ns_per_update(sample.median),
+            ns_per_update(sample.min),
+            ns_per_update(sample.max),
         ));
     }
     json.push_str("],\"speedup\":{");

@@ -16,8 +16,8 @@ use crate::estimate::{Estimate, FlipBudget};
 ///
 /// Extends [`Estimator`] (update / estimate / space accounting) with the
 /// robustness-specific surface: the approximation parameter the guarantee
-/// was configured for, flip-number budget accounting, and a batched update
-/// path for throughput-oriented callers.
+/// was configured for, flip-number budget accounting, and fallible
+/// (budget-checked) ingestion.
 ///
 /// `Send` is a supertrait: estimators are owned data (the engine already
 /// stores its strategy cores as `Box<dyn StrategyCore + Send>`), and the
@@ -26,22 +26,15 @@ use crate::estimate::{Estimate, FlipBudget};
 ///
 /// # Batched updates and adaptivity
 ///
-/// [`RobustEstimator::update_batch`] defaults to calling
-/// [`Estimator::update`] once per element, which preserves per-update
-/// semantics exactly. The [`crate::engine::Robustify`] engine overrides it
-/// to amortize the ε-rounding / switching check to one per batch: no output
-/// is published mid-batch, so an adversary — who by definition only adapts
-/// to *published* outputs — gains nothing from the coarser granularity, and
+/// The batched update path is [`Estimator::update_batch`], inherited from
+/// the supertrait. It defaults to calling [`Estimator::update`] once per
+/// element, which preserves per-update semantics exactly. The
+/// [`crate::engine::Robustify`] engine overrides it to amortize the
+/// ε-rounding / switching check to one per batch: no output is published
+/// mid-batch, so an adversary — who by definition only adapts to
+/// *published* outputs — gains nothing from the coarser granularity, and
 /// the estimate read after the batch still carries the `(1 ± ε)` guarantee.
 pub trait RobustEstimator: Estimator + Send {
-    /// Processes a batch of updates. The estimate is only specified at
-    /// batch boundaries; see the trait docs for the adaptivity argument.
-    fn update_batch(&mut self, updates: &[Update]) {
-        for &u in updates {
-            self.update(u);
-        }
-    }
-
     /// The current typed reading: the published value plus the guarantee
     /// interval, flip accounting and [`crate::estimate::Health`] verdict.
     ///
@@ -75,7 +68,8 @@ pub trait RobustEstimator: Estimator + Send {
     }
 
     /// Fallible batched ingestion; same contract as
-    /// [`RobustEstimator::try_update`] over the amortized hot path.
+    /// [`RobustEstimator::try_update`] over the amortized hot path
+    /// ([`Estimator::update_batch`]).
     fn try_update_batch(&mut self, updates: &[Update]) -> Result<(), ArsError> {
         self.update_batch(updates);
         self.budget_check()

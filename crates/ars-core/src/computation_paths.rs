@@ -167,6 +167,10 @@ impl<E: Estimator + Send> StrategyCore for ComputationPaths<E> {
         self.inner.update(update);
     }
 
+    fn ingest_batch(&mut self, updates: &[Update]) {
+        self.inner.update_batch(updates);
+    }
+
     fn raw_estimate(&self) -> f64 {
         self.inner.estimate()
     }

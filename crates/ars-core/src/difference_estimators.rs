@@ -230,9 +230,7 @@ where
     /// pools.
     fn ingest_batch(&mut self, updates: &[Update]) {
         for copy in &mut self.copies {
-            for &u in updates {
-                copy.update(u);
-            }
+            copy.update_batch(updates);
         }
     }
 
@@ -452,7 +450,7 @@ mod tests {
             ars_sketch::Estimator::update(&mut per_update, u);
         }
         for chunk in updates.chunks(128) {
-            RobustEstimator::update_batch(&mut batched, chunk);
+            Estimator::update_batch(&mut batched, chunk);
         }
         let truth: FrequencyVector = updates.iter().copied().collect();
         let t = truth.f0() as f64;

@@ -257,9 +257,7 @@ where
     /// cache-resident), then a single drift check for the whole batch.
     fn ingest_batch(&mut self, updates: &[Update]) {
         for copy in &mut self.copies {
-            for &u in updates {
-                copy.update(u);
-            }
+            copy.update_batch(updates);
         }
         self.pending += updates.len();
         self.maybe_republish();
@@ -440,7 +438,7 @@ mod tests {
             ars_sketch::Estimator::update(&mut per_update, u);
         }
         for chunk in updates.chunks(128) {
-            RobustEstimator::update_batch(&mut batched, chunk);
+            Estimator::update_batch(&mut batched, chunk);
         }
         let truth: FrequencyVector = updates.iter().copied().collect();
         let t = truth.f0() as f64;

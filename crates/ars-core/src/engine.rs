@@ -334,6 +334,21 @@ impl<C: StrategyCore> Estimator for Robustify<C> {
         self.refresh_publication();
     }
 
+    /// The amortized hot path: one (possibly copy-major, cache-friendly)
+    /// ingest pass over the batch, then a single publication refresh. No
+    /// output is published mid-batch, so per-update rounding/switch checks
+    /// would be observable by no one; see the [`RobustEstimator`] trait
+    /// docs for the adaptivity argument.
+    fn update_batch(&mut self, updates: &[Update]) {
+        // An empty batch must be a no-op: refreshing publication on zero
+        // data would publish 0.0 and retire a pool copy for nothing.
+        if updates.is_empty() {
+            return;
+        }
+        self.core.ingest_batch(updates);
+        self.refresh_publication();
+    }
+
     /// The thin `query().value` shim: the bare float is a projection of
     /// the typed reading, never a separate code path.
     fn estimate(&self) -> f64 {
@@ -347,21 +362,6 @@ impl<C: StrategyCore> Estimator for Robustify<C> {
 }
 
 impl<C: StrategyCore> RobustEstimator for Robustify<C> {
-    /// The amortized hot path: one (possibly copy-major, cache-friendly)
-    /// ingest pass over the batch, then a single publication refresh. No
-    /// output is published mid-batch, so per-update rounding/switch checks
-    /// would be observable by no one; see
-    /// [`RobustEstimator::update_batch`] for the adaptivity argument.
-    fn update_batch(&mut self, updates: &[Update]) {
-        // An empty batch must be a no-op: refreshing publication on zero
-        // data would publish 0.0 and retire a pool copy for nothing.
-        if updates.is_empty() {
-            return;
-        }
-        self.core.ingest_batch(updates);
-        self.refresh_publication();
-    }
-
     fn epsilon(&self) -> f64 {
         self.plan.epsilon
     }

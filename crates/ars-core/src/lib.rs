@@ -37,7 +37,7 @@
 //!   every knob (ε, δ, m, n, M, seed, strategy) is shared.
 //! * [`api::RobustEstimator`] — the object-safe trait every estimator
 //!   implements, including the batched hot path
-//!   [`api::RobustEstimator::update_batch`] (amortized rounding/switch
+//!   [`ars_sketch::Estimator::update_batch`] (amortized rounding/switch
 //!   checks; see the trait docs for why batching is sound against adaptive
 //!   adversaries).
 //! * [`registry`] — every problem × strategy as `Box<dyn RobustEstimator>`

@@ -36,6 +36,10 @@ impl<E: Estimator> Estimator for ExponentialAdapter<E> {
         self.inner.update(update);
     }
 
+    fn update_batch(&mut self, updates: &[Update]) {
+        self.inner.update_batch(updates);
+    }
+
     fn estimate(&self) -> f64 {
         // Clamp the exponent so a transiently wild inner estimate cannot
         // produce an infinite value (the ε-rounding machinery requires

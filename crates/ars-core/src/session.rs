@@ -53,7 +53,7 @@ use crate::estimate::{Estimate, Health};
 /// The session exposes the engine's batched hot path
 /// ([`StreamSession::update_batch`]): the whole batch is validated against
 /// the evolving exact state first, then handed to
-/// [`RobustEstimator::update_batch`] in one amortized pass.
+/// [`ars_sketch::Estimator::update_batch`] in one amortized pass.
 ///
 /// # Memory and validation tiers
 ///

@@ -194,9 +194,7 @@ where
     /// whole pool being re-fetched per update.
     fn ingest_batch(&mut self, updates: &[Update]) {
         for copy in &mut self.copies {
-            for &u in updates {
-                copy.update(u);
-            }
+            copy.update_batch(updates);
         }
     }
 

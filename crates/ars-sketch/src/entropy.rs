@@ -21,7 +21,7 @@
 use ars_stream::Update;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::pstable::{PStableConfig, PStableSketch};
 use crate::{Estimator, EstimatorFactory};
@@ -225,7 +225,9 @@ impl Estimator for SampledEntropyEstimator {
         if self.reservoir.is_empty() {
             return 0.0;
         }
-        let mut counts: HashMap<u64, u64> = HashMap::new();
+        // Item order fixes the summation order, so repeated calls return
+        // the same bits (a `HashMap`'s iteration order differs per map).
+        let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for &item in &self.reservoir {
             *counts.entry(item).or_insert(0) += 1;
         }
@@ -346,6 +348,10 @@ mod tests {
         feed(&mut est, &updates);
         let e = est.estimate();
         assert!((e - 6.0).abs() < 0.3, "estimate {e} for ~6-bit entropy");
+        // Pure: repeated reads return the same bits, as `Estimator` asks.
+        for _ in 0..8 {
+            assert_eq!(est.estimate().to_bits(), e.to_bits());
+        }
     }
 
     #[test]

@@ -14,8 +14,25 @@
 //! required by the cryptographic transformation of Section 10: an item
 //! whose hash is already present in the bottom-k set leaves the state
 //! unchanged.
-
-use std::collections::BTreeSet;
+//!
+//! # Layout and cost model
+//!
+//! The bottom-k set is one sorted `Vec<u64>` of capacity `k`, so the k-th
+//! minimum (the eviction threshold and the estimator's `v_k`) is simply
+//! its last element. An insertion costs:
+//!
+//! - **reject, O(1)**: once the sketch is full, a hash at or above the
+//!   threshold returns right after hashing — the common case on long
+//!   streams, since only a `k/F₀` fraction of fresh items lands below it;
+//! - **duplicate probe, O(log k)**: a binary search finds a hash already
+//!   stored, and the state is left untouched;
+//! - **insert, O(k)**: a new hash below the threshold (or any new hash
+//!   while the sketch fills) is shifted into place with one `memmove` of
+//!   at most `k` words; once full, `pop` first drops the old threshold.
+//!
+//! The sorted vector *is* the stored set — there is no side index — so
+//! [`KmvSketch::space_bytes`] still counts exactly the `k` hash values plus
+//! the hash description.
 
 use ars_hash::KWiseHash;
 use ars_stream::Update;
@@ -48,9 +65,10 @@ impl KmvConfig {
 pub struct KmvSketch {
     config: KmvConfig,
     hash: KWiseHash,
-    /// The k smallest distinct hash values seen so far (normalized to
-    /// integers for exact ordering; converted to unit floats on estimate).
-    bottom: BTreeSet<u64>,
+    /// The k smallest distinct hash values seen so far, sorted ascending
+    /// (normalized to integers for exact ordering; converted to unit floats
+    /// on estimate). Once full, `bottom[k - 1]` is the k-th minimum.
+    bottom: Vec<u64>,
 }
 
 impl KmvSketch {
@@ -62,7 +80,17 @@ impl KmvSketch {
         Self {
             config,
             hash: KWiseHash::from_rng(2, &mut rng),
-            bottom: BTreeSet::new(),
+            bottom: Vec::with_capacity(config.k),
+        }
+    }
+
+    /// The k-th smallest stored hash once the sketch is full: every hash at
+    /// or above it is ignored.
+    fn threshold(&self) -> Option<u64> {
+        if self.bottom.len() < self.config.k {
+            None
+        } else {
+            self.bottom.last().copied()
         }
     }
 
@@ -79,14 +107,7 @@ impl KmvSketch {
     #[must_use]
     pub fn would_ignore(&self, item: u64) -> bool {
         let h = self.hash.hash(item);
-        if self.bottom.contains(&h) {
-            return true;
-        }
-        if self.bottom.len() < self.config.k {
-            return false;
-        }
-        let largest = *self.bottom.iter().next_back().expect("non-empty");
-        h >= largest
+        self.threshold().is_some_and(|t| h >= t) || self.bottom.binary_search(&h).is_ok()
     }
 }
 
@@ -98,17 +119,16 @@ impl Estimator for KmvSketch {
             return;
         }
         let h = self.hash.hash(update.item);
-        if self.bottom.contains(&h) {
+        let threshold = self.threshold();
+        if threshold.is_some_and(|t| h >= t) {
             return;
         }
-        if self.bottom.len() < self.config.k {
-            self.bottom.insert(h);
-            return;
-        }
-        let largest = *self.bottom.iter().next_back().expect("non-empty");
-        if h < largest {
-            self.bottom.insert(h);
-            self.bottom.remove(&largest);
+        // `Ok` is a stored duplicate: the state must not change.
+        if let Err(pos) = self.bottom.binary_search(&h) {
+            if threshold.is_some() {
+                self.bottom.pop();
+            }
+            self.bottom.insert(pos, h);
         }
     }
 
@@ -119,8 +139,7 @@ impl Estimator for KmvSketch {
             // range at these cardinalities).
             return self.bottom.len() as f64;
         }
-        let v_k = *self.bottom.iter().next_back().expect("non-empty") as f64
-            / ars_hash::field::MERSENNE_P as f64;
+        let v_k = self.bottom[self.config.k - 1] as f64 / ars_hash::field::MERSENNE_P as f64;
         (self.config.k as f64 - 1.0) / v_k
     }
 
@@ -152,8 +171,127 @@ impl EstimatorFactory for KmvFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ars_stream::generator::{Generator, UniformGenerator};
+    use std::collections::BTreeSet;
+
+    use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
     use ars_stream::FrequencyVector;
+
+    /// The original `BTreeSet` bottom-k kernel, kept as the reference the
+    /// flat kernel must match bit for bit.
+    struct ReferenceKmv {
+        k: usize,
+        hash: KWiseHash,
+        bottom: BTreeSet<u64>,
+    }
+
+    impl ReferenceKmv {
+        fn new(config: KmvConfig, seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            Self {
+                k: config.k,
+                hash: KWiseHash::from_rng(2, &mut rng),
+                bottom: BTreeSet::new(),
+            }
+        }
+
+        fn update(&mut self, update: Update) {
+            if update.delta <= 0 {
+                return;
+            }
+            let h = self.hash.hash(update.item);
+            if self.bottom.contains(&h) {
+                return;
+            }
+            if self.bottom.len() < self.k {
+                self.bottom.insert(h);
+                return;
+            }
+            let largest = *self.bottom.last().expect("non-empty");
+            if h < largest {
+                self.bottom.insert(h);
+                self.bottom.remove(&largest);
+            }
+        }
+
+        fn estimate(&self) -> f64 {
+            if self.bottom.len() < self.k {
+                return self.bottom.len() as f64;
+            }
+            let v_k =
+                *self.bottom.last().expect("full") as f64 / ars_hash::field::MERSENNE_P as f64;
+            (self.k as f64 - 1.0) / v_k
+        }
+
+        fn would_ignore(&self, item: u64) -> bool {
+            let h = self.hash.hash(item);
+            self.bottom.contains(&h)
+                || (self.bottom.len() >= self.k && h >= *self.bottom.last().expect("full"))
+        }
+    }
+
+    /// Drives the flat kernel and the reference side by side, comparing
+    /// the stored minima, the estimate's bits and `would_ignore` of the
+    /// next item after every update.
+    fn assert_matches_reference(k: usize, seed: u64, updates: &[Update]) {
+        let config = KmvConfig { k };
+        let mut flat = KmvSketch::new(config, seed);
+        let mut reference = ReferenceKmv::new(config, seed);
+        for (t, &u) in updates.iter().enumerate() {
+            flat.update(u);
+            reference.update(u);
+            assert!(
+                flat.bottom.iter().eq(reference.bottom.iter()),
+                "k={k} step {t}: stored minima differ"
+            );
+            assert_eq!(
+                flat.estimate().to_bits(),
+                reference.estimate().to_bits(),
+                "k={k} step {t}"
+            );
+            if let Some(next) = updates.get(t + 1) {
+                assert_eq!(
+                    flat.would_ignore(next.item),
+                    reference.would_ignore(next.item),
+                    "k={k} step {t}: would_ignore({})",
+                    next.item
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_kernel_matches_the_btreeset_reference() {
+        for (i, k) in [2usize, 8, 1024].into_iter().enumerate() {
+            let seed = 31 + i as u64;
+            // Uniform over a wide domain: fills the sketch, then evicts.
+            let uniform = UniformGenerator::new(1 << 20, seed).take_updates(6_000);
+            let distinct: BTreeSet<u64> = uniform.iter().map(|u| u.item).collect();
+            assert!(distinct.len() > 2 * k, "the uniform stream must evict");
+            assert_matches_reference(k, seed, &uniform);
+            // Zipf: a few heavy items repeat below and above the threshold.
+            let zipf = ZipfGenerator::new(1 << 12, 1.2, seed).take_updates(6_000);
+            assert_matches_reference(k, seed, &zipf);
+            // Heavy duplicates: a handful of items, each repeated many times.
+            let duplicates: Vec<Update> = (0..6_000u64)
+                .map(|t| Update::insert((t * 7) % 13))
+                .collect();
+            assert_matches_reference(k, seed, &duplicates);
+            // Interleaved deletions, which both kernels ignore.
+            let churn: Vec<Update> = UniformGenerator::new(1 << 14, seed)
+                .take_updates(6_000)
+                .into_iter()
+                .enumerate()
+                .map(|(t, u)| {
+                    if t % 3 == 2 {
+                        Update::delete(u.item)
+                    } else {
+                        u
+                    }
+                })
+                .collect();
+            assert_matches_reference(k, seed, &churn);
+        }
+    }
 
     #[test]
     fn exact_below_k_distinct_items() {

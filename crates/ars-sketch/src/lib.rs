@@ -71,7 +71,23 @@ pub trait Estimator {
     /// Processes one stream update.
     fn update(&mut self, update: Update);
 
-    /// Returns the current estimate of the tracked quantity.
+    /// Processes a batch of updates. The estimate is only specified at
+    /// batch boundaries.
+    ///
+    /// The default calls [`Estimator::update`] once per element. Ensembles
+    /// override it to stream the whole batch through one copy before the
+    /// next ([`MedianTracking`]), which keeps each copy's state hot in
+    /// cache; copies are independent, so the resulting state is the same.
+    /// The robust engine in `ars-core` overrides it to also amortize its
+    /// ε-rounding check to once per batch.
+    fn update_batch(&mut self, updates: &[Update]) {
+        for &u in updates {
+            self.update(u);
+        }
+    }
+
+    /// Returns the current estimate of the tracked quantity: a pure
+    /// function of the state, so repeated calls return the same bits.
     fn estimate(&self) -> f64;
 
     /// Approximate memory footprint of the sketch state in bytes.

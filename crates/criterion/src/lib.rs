@@ -7,7 +7,8 @@
 //! `criterion_main!`, `Criterion::bench_function`, `benchmark_group`,
 //! `Bencher::iter`/`iter_batched`, [`black_box`]) and performs honest
 //! wall-clock measurement — warm-up plus a configurable number of sample
-//! batches, reporting the median per-iteration time — but none of the
+//! batches, reporting the min, median and max per-iteration time, so every
+//! figure carries its run-to-run spread — but none of the
 //! statistical machinery, HTML reports, or baseline storage of the real
 //! crate. Numbers printed by this stub are comparable run-to-run on the
 //! same machine, which is all the repo's BENCH_*.json trajectory needs.
@@ -39,8 +40,12 @@ pub enum BatchSize {
 pub struct Sample {
     /// Full benchmark id, `group/function` when inside a group.
     pub id: String,
+    /// Fastest per-iteration time across sample batches.
+    pub min: Duration,
     /// Median per-iteration time across sample batches.
     pub median: Duration,
+    /// Slowest per-iteration time across sample batches.
+    pub max: Duration,
     /// Total iterations measured.
     pub iterations: u64,
 }
@@ -144,15 +149,21 @@ impl Criterion {
         };
         f(&mut bencher);
         samples.sort_unstable();
-        let median = samples
-            .get(samples.len() / 2)
-            .copied()
-            .unwrap_or(Duration::ZERO);
+        let at = |i: usize| samples.get(i).copied().unwrap_or(Duration::ZERO);
+        let (min, median, max) = (
+            at(0),
+            at(samples.len() / 2),
+            at(samples.len().saturating_sub(1)),
+        );
         let iterations = (samples.len() as u64) * self.iters_per_sample;
-        println!("bench: {id:<48} median {median:>12.3?} ({iterations} iters)");
+        println!(
+            "bench: {id:<48} median {median:>12.3?} [min {min:.3?}, max {max:.3?}] ({iterations} iters)"
+        );
         self.results.push(Sample {
             id,
+            min,
             median,
+            max,
             iterations,
         });
     }
@@ -249,8 +260,10 @@ mod tests {
         let mut c = Criterion::default().sample_size(3);
         c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
         assert_eq!(c.results.len(), 1);
-        assert_eq!(c.results[0].id, "noop");
-        assert!(c.results[0].iterations > 0);
+        let sample = &c.results[0];
+        assert_eq!(sample.id, "noop");
+        assert!(sample.iterations > 0);
+        assert!(sample.min <= sample.median && sample.median <= sample.max);
     }
 
     #[test]

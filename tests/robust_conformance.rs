@@ -126,7 +126,7 @@ fn raw_mode_batching_is_bitwise_identical() {
         for &u in chunk {
             per_update.update(u);
         }
-        RobustEstimator::update_batch(&mut batched, chunk);
+        Estimator::update_batch(&mut batched, chunk);
         assert_eq!(per_update.estimate(), batched.estimate());
     }
 }
