@@ -24,10 +24,10 @@ use ars_stream::generator::{Generator, UniformGenerator};
 use ars_stream::Update;
 
 const BATCH: usize = 256;
-
-fn quick() -> bool {
-    std::env::var("ARS_BENCH_FULL").is_err()
-}
+/// Timed update requests (each one batch of [`BATCH`] updates).
+const BATCHES: usize = 40;
+/// Timed query requests; the metrics leg scrapes a quarter as often.
+const QUERIES: usize = 200;
 
 fn spec() -> ProvisionerSpec {
     ProvisionerSpec::new(ProblemSpec::F0, 0.2)
@@ -84,8 +84,7 @@ fn leg(id: &'static str, mut latencies: Vec<Duration>) -> Leg {
 }
 
 fn main() {
-    let (batches, queries) = if quick() { (40, 200) } else { (400, 2_000) };
-    let updates = UniformGenerator::new(1 << 16, 7).take_updates(batches * BATCH);
+    let updates = UniformGenerator::new(1 << 16, 7).take_updates(BATCHES * BATCH);
     let chunks: Vec<String> = updates.chunks(BATCH).map(batch_body).collect();
 
     let handle = FleetServer::new(SessionManager::new())
@@ -97,7 +96,7 @@ fn main() {
     assert_eq!(status, 201, "{body}");
 
     // Warmup: populate the sketch and fault in the whole socket path.
-    for chunk in chunks.iter().take((batches / 10).max(1)) {
+    for chunk in chunks.iter().take((BATCHES / 10).max(1)) {
         client::request(addr, "POST", "/tenants/bench/update", chunk).expect("warmup update");
     }
     client::request(addr, "GET", "/tenants/bench/query", "").expect("warmup query");
@@ -112,7 +111,7 @@ fn main() {
     );
     let query_leg = leg(
         "http_query",
-        measure(queries, |_| {
+        measure(QUERIES, |_| {
             let (status, _) =
                 client::request(addr, "GET", "/tenants/bench/query", "").expect("query");
             assert_eq!(status, 200);
@@ -120,7 +119,7 @@ fn main() {
     );
     let metrics_leg = leg(
         "http_metrics",
-        measure(queries / 4, |_| {
+        measure(QUERIES / 4, |_| {
             let (status, _) = client::request(addr, "GET", "/metrics", "").expect("metrics");
             assert_eq!(status, 200);
         }),

@@ -1,4 +1,6 @@
-//! Runs every experiment (E1–E16) and prints the full markdown report.
+//! Runs every experiment (E1–E16), or the ones `--only` names, and prints
+//! the markdown report. An id that is not in `EXPERIMENTS` is an error
+//! (exit status 2), reported before any experiment runs.
 //!
 //! Usage:
 //!
@@ -6,35 +8,53 @@
 //! cargo run --release -p ars-bench --bin run_all_experiments [--full] [--only E8,E9]
 //! ```
 
-use ars_bench::{all_experiment_ids, run_experiment, ExperimentScale};
+use std::process::ExitCode;
 
-fn main() {
+use ars_bench::{ExperimentScale, EXPERIMENTS};
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let scale = if args.iter().any(|a| a == "--full") {
         ExperimentScale::full()
     } else {
         ExperimentScale::quick()
     };
-    let only: Option<Vec<String>> = args
+    let only: Option<Vec<&str>> = match args.iter().position(|a| a == "--only") {
+        None => None,
+        Some(i) => match args.get(i + 1) {
+            Some(list) => Some(list.split(',').collect()),
+            None => return usage_error("--only needs a comma-separated list of ids"),
+        },
+    };
+    if let Some(unknown) = only
         .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|list| list.split(',').map(str::to_string).collect());
+        .flatten()
+        .find(|id| !EXPERIMENTS.iter().any(|(known, _)| known == *id))
+    {
+        return usage_error(&format!("unknown experiment id `{unknown}`"));
+    }
 
     println!("# Experiment reports (adversarially robust streaming)\n");
     println!(
         "Scale: m = {}, n = {}, trials = {}\n",
         scale.stream_length, scale.domain, scale.trials
     );
-    for id in all_experiment_ids() {
-        if let Some(only) = &only {
-            if !only.iter().any(|o| o == id) {
-                continue;
-            }
+    for (id, run) in EXPERIMENTS {
+        if only.as_ref().is_some_and(|only| !only.contains(&id)) {
+            continue;
         }
         let start = std::time::Instant::now();
-        let report = run_experiment(id, scale, 42).expect("known experiment id");
-        println!("{}", report.to_markdown());
+        println!("{}", run(scale, 42).to_markdown());
         println!("_generated in {:.1}s_\n", start.elapsed().as_secs_f64());
     }
+    ExitCode::SUCCESS
+}
+
+fn usage_error(message: &str) -> ExitCode {
+    let valid: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    eprintln!(
+        "run_all_experiments: {message}; valid ids: {}",
+        valid.join(", ")
+    );
+    ExitCode::from(2)
 }

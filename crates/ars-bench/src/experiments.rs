@@ -1,9 +1,10 @@
 //! The experiment implementations (one per experiment id, E1–E16).
 //!
 //! Every function takes an [`ExperimentScale`] so the same code can run as
-//! a quick smoke test (`Scale::quick()`, used by `cargo bench` and CI) or a
-//! longer run (`Scale::full()`, what `run_all_experiments --full`
-//! prints).
+//! a quick smoke test ([`ExperimentScale::quick`], the default of
+//! `run_all_experiments` and what CI runs) or a longer run
+//! ([`ExperimentScale::full`], what `run_all_experiments --full` prints).
+//! [`EXPERIMENTS`] maps each id to its function.
 //!
 //! All estimators — static baselines and robust constructions alike — are
 //! driven through **one generic trait-object loop**
@@ -54,7 +55,7 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// A fast configuration suitable for `cargo bench` smoke runs.
+    /// The fast configuration `run_all_experiments` reports at by default.
     #[must_use]
     pub fn quick() -> Self {
         Self {
@@ -1691,38 +1692,29 @@ pub fn validator_tiers_experiment(scale: ExperimentScale, seed: u64) -> Experime
     report
 }
 
-/// Runs a named experiment at the given scale (used by the bin targets).
-#[must_use]
-pub fn run_experiment(id: &str, scale: ExperimentScale, seed: u64) -> Option<ExperimentReport> {
-    match id {
-        "E1" => Some(table1_f0(scale, seed)),
-        "E2" => Some(table1_fp_small(scale, seed)),
-        "E3" => Some(table1_fp_large(scale, seed)),
-        "E4" => Some(table1_heavy_hitters(scale, seed)),
-        "E5" => Some(table1_entropy(scale, seed)),
-        "E6" => Some(table1_turnstile(scale, seed)),
-        "E7" => Some(table1_bounded_deletion(scale, seed)),
-        "E8" => Some(attack_ams(scale, seed)),
-        "E9" => Some(flip_number_experiment(scale, seed)),
-        "E10" => Some(fast_f0_update_time(scale, seed)),
-        "E11" => Some(crypto_f0_experiment(scale, seed)),
-        "E12" => Some(wrapper_ablation(scale, seed)),
-        "E13" => Some(registry_sweep(scale, seed)),
-        "E14" => Some(dp_aggregation_experiment(scale, seed)),
-        "E15" => Some(difference_estimators_experiment(scale, seed)),
-        "E16" => Some(validator_tiers_experiment(scale, seed)),
-        _ => None,
-    }
-}
+/// An experiment: scale and seed in, report out.
+pub type Experiment = fn(ExperimentScale, u64) -> ExperimentReport;
 
-/// All experiment ids, in report order.
-#[must_use]
-pub fn all_experiment_ids() -> Vec<&'static str> {
-    vec![
-        "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14",
-        "E15", "E16",
-    ]
-}
+/// Every experiment by id, in report order; `run_all_experiments` runs
+/// them from here and nowhere else.
+pub const EXPERIMENTS: [(&str, Experiment); 16] = [
+    ("E1", table1_f0),
+    ("E2", table1_fp_small),
+    ("E3", table1_fp_large),
+    ("E4", table1_heavy_hitters),
+    ("E5", table1_entropy),
+    ("E6", table1_turnstile),
+    ("E7", table1_bounded_deletion),
+    ("E8", attack_ams),
+    ("E9", flip_number_experiment),
+    ("E10", fast_f0_update_time),
+    ("E11", crypto_f0_experiment),
+    ("E12", wrapper_ablation),
+    ("E13", registry_sweep),
+    ("E14", dp_aggregation_experiment),
+    ("E15", difference_estimators_experiment),
+    ("E16", validator_tiers_experiment),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1747,19 +1739,6 @@ mod tests {
                 row.algorithm, row.notes
             );
         }
-    }
-
-    #[test]
-    fn experiment_ids_round_trip() {
-        for id in all_experiment_ids() {
-            // Only check dispatch, not execution (some experiments are slow).
-            assert!([
-                "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13",
-                "E14", "E15", "E16"
-            ]
-            .contains(&id));
-        }
-        assert!(run_experiment("bogus", tiny(), 0).is_none());
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //! sessions, E14 pits DP aggregation (Hassidim et al. 2020, `O(√λ)`
 //! copies) against both switching pools, and E15 adds the difference
 //! estimators (Attias et al. 2022, `O(log λ)` copies on a geometric chunk
-//! schedule) to the same copies/space/accuracy/flips grid. The `benches/`
-//! directory contains one `cargo bench` target per experiment id (E1–E15)
-//! plus Criterion timing benchmarks for the update-time claims, and
-//! `src/bin/` exposes the same experiments as standalone binaries.
+//! schedule) to the same copies/space/accuracy/flips grid.
+//!
+//! `run_all_experiments [--full] [--only E1,E9]` is the one way to run
+//! E1–E16: it looks each id up in [`EXPERIMENTS`]. The two `cargo bench`
+//! targets in `benches/` are timing benchmarks, not experiments:
+//! `batch_throughput` and `serve_throughput` write the repo's
+//! `BENCH_batch_throughput.json` and `BENCH_serve_throughput.json`.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

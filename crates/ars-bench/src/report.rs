@@ -1,7 +1,5 @@
 //! Result rows and table rendering for the experiment harness.
 
-use ars_core::json::escape_into;
-
 /// One measured row of an experiment (one algorithm × workload × parameter
 /// point).
 #[derive(Debug, Clone, PartialEq)]
@@ -24,8 +22,8 @@ pub struct Row {
 }
 
 /// A complete experiment: an id (one of
-/// [`crate::experiments::all_experiment_ids`]), a human-readable title, and
-/// the measured rows.
+/// [`crate::experiments::EXPERIMENTS`]), a human-readable title, and the
+/// measured rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     /// Experiment id, e.g. `"E1"`.
@@ -54,60 +52,6 @@ impl ExperimentReport {
         out.push_str(&print_markdown_table(&self.rows));
         out
     }
-
-    /// Serializes the report as JSON (one line), for machine consumption.
-    ///
-    /// Hand-rolled writer (the build environment vendors no serde); the
-    /// schema is flat enough that escaping strings and formatting numbers
-    /// covers it exactly.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 160 * self.rows.len());
-        out.push_str("{\"id\":");
-        push_json_string(&mut out, &self.id);
-        out.push_str(",\"title\":");
-        push_json_string(&mut out, &self.title);
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"algorithm\":");
-            push_json_string(&mut out, &row.algorithm);
-            out.push_str(",\"workload\":");
-            push_json_string(&mut out, &row.workload);
-            out.push_str(&format!(
-                ",\"epsilon\":{},\"space_bytes\":{},\"max_error\":{},\"within_guarantee\":{},\"notes\":",
-                json_number(row.epsilon),
-                row.space_bytes,
-                json_number(row.max_error),
-                row.within_guarantee,
-            ));
-            push_json_string(&mut out, &row.notes);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Formats a float as a JSON number (JSON has no NaN/inf; those become
-/// `null`, which downstream tooling treats as "not measured").
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        // `{:?}` round-trips f64 exactly and never produces `inf`/`NaN`.
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Appends `s` as a JSON string literal; the escaping lives once, in
-/// [`ars_core::json::escape_into`].
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
 }
 
 /// Renders rows as a markdown table.
@@ -161,37 +105,8 @@ mod tests {
         ] {
             assert!(table.contains(needle), "missing {needle} in:\n{table}");
         }
-    }
-
-    #[test]
-    fn json_contains_every_field_and_escapes() {
         let mut report = ExperimentReport::new("E1", "Table 1 row: distinct elements");
-        let mut row = sample_row();
-        row.notes = "quote \" backslash \\ newline \n done".to_string();
-        report.rows.push(row);
-        let json = report.to_json();
-        for needle in [
-            "\"id\":\"E1\"",
-            "\"algorithm\":\"robust-f0\"",
-            "\"epsilon\":0.1",
-            "\"space_bytes\":4096",
-            "\"max_error\":0.07",
-            "\"within_guarantee\":true",
-            "\\\"",
-            "\\\\",
-            "\\n",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
+        report.rows.push(sample_row());
         assert!(report.to_markdown().starts_with("## E1"));
-    }
-
-    #[test]
-    fn non_finite_numbers_become_null() {
-        let mut report = ExperimentReport::new("EX", "edge");
-        let mut row = sample_row();
-        row.max_error = f64::NAN;
-        report.rows.push(row);
-        assert!(report.to_json().contains("\"max_error\":null"));
     }
 }

@@ -86,11 +86,6 @@ pub struct RobustBuilder {
     max_frequency: u64,
     seed: u64,
     strategy: Option<Strategy>,
-    /// Practical floor for the computation-paths per-path failure
-    /// probability; the theoretical value underflows `f64` and would make
-    /// the static sketch enormous, so experiments use this floor and report
-    /// the theoretical exponent alongside.
-    practical_delta_floor: f64,
     entropy_method: EntropyMethod,
 }
 
@@ -146,7 +141,6 @@ impl RobustBuilder {
             max_frequency: 1 << 20,
             seed: 0,
             strategy: None,
-            practical_delta_floor: 1e-12,
             entropy_method: EntropyMethod::default(),
         })
     }
@@ -200,24 +194,6 @@ impl RobustBuilder {
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = Some(strategy);
         self
-    }
-
-    /// Sets the practical floor on the computation-paths failure
-    /// probability (see the field documentation); panics on an invalid
-    /// value — see [`RobustBuilder::try_practical_delta_floor`].
-    #[must_use]
-    pub fn practical_delta_floor(self, floor: f64) -> Self {
-        self.try_practical_delta_floor(floor)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible setter for the computation-paths failure-probability floor.
-    pub fn try_practical_delta_floor(mut self, floor: f64) -> Result<Self, ArsError> {
-        if !(floor > 0.0 && floor < 1.0) {
-            return Err(BuildError::out_of_range("practical_delta_floor", floor, "(0,1)").into());
-        }
-        self.practical_delta_floor = floor;
-        Ok(self)
     }
 
     /// Selects the static backend for [`RobustBuilder::entropy`].
@@ -627,6 +603,12 @@ impl RobustBuilder {
         S: EstimatorFactory,
         S::Output: Send + 'static,
     {
+        /// Practical floor for the computation-paths per-path failure
+        /// probability: the theoretical δ₀ underflows `f64` and would make
+        /// the static sketch enormous, so the route floors it here and
+        /// experiments report the theoretical exponent alongside.
+        const PRACTICAL_DELTA_FLOOR: f64 = 1e-12;
+
         let split = |copies: usize| self.delta / copies as f64;
         let seed = self.seed;
         let core: Box<dyn StrategyCore + Send> = match strategy {
@@ -636,9 +618,7 @@ impl RobustBuilder {
             }
             Strategy::ComputationPaths => {
                 let config = ComputationPathsConfig::from_plan(&plan);
-                let delta0 = config
-                    .required_delta_clamped()
-                    .max(self.practical_delta_floor);
+                let delta0 = config.required_delta_clamped().max(PRACTICAL_DELTA_FLOOR);
                 Box::new(ComputationPaths::new(&single(delta0), config, seed))
             }
             Strategy::Crypto(backend) => {

@@ -373,14 +373,6 @@ impl Estimate {
             health,
         })
     }
-
-    /// Parses a reading serialized by [`Estimate::to_json`]; a thin
-    /// `Option` shim over [`Estimate::try_from_json`] for callers that do
-    /// not need the reason.
-    #[must_use]
-    pub fn from_json(text: &str) -> Option<Self> {
-        Self::try_from_json(text).ok()
-    }
 }
 
 impl fmt::Display for Estimate {
@@ -488,23 +480,23 @@ mod tests {
         for reading in readings {
             let json = reading.to_json();
             assert!(!json.contains("18446744073709551615"), "{json}");
-            let parsed = Estimate::from_json(&json).expect("own output parses");
+            let parsed = Estimate::try_from_json(&json).expect("own output parses");
             assert_eq!(parsed, reading, "round trip diverged on {json}");
         }
         // PromiseViolated survives too (constructed by sessions, not by
         // Estimate::new).
         let mut flagged = Estimate::new(5.0, 0.2, false, 1, FlipBudget::Bounded(9), 1);
         flagged.health = Health::PromiseViolated;
-        assert_eq!(Estimate::from_json(&flagged.to_json()), Some(flagged));
+        assert_eq!(Estimate::try_from_json(&flagged.to_json()), Ok(flagged));
     }
 
     #[test]
     fn from_json_rejects_malformed_input() {
-        assert_eq!(Estimate::from_json(""), None);
-        assert_eq!(Estimate::from_json("{\"value\":1.0}"), None);
+        assert!(Estimate::try_from_json("").is_err());
+        assert!(Estimate::try_from_json("{\"value\":1.0}").is_err());
         let good = Estimate::new(1.0, 0.1, false, 0, FlipBudget::Bounded(5), 1).to_json();
         let bad_health = good.replace("within-guarantee", "fine-probably");
-        assert_eq!(Estimate::from_json(&bad_health), None);
+        assert!(Estimate::try_from_json(&bad_health).is_err());
         assert_eq!(
             Health::parse("within-guarantee"),
             Some(Health::WithinGuarantee)

@@ -666,7 +666,7 @@ mod tests {
         assert!(json.contains("\"tier\":\"stateless\""));
         // The embedded reading parses back to exactly the live reading.
         let start = json.find("\"reading\":").unwrap() + "\"reading\":".len();
-        let parsed = Estimate::from_json(&json[start..]).expect("embedded reading parses");
+        let parsed = Estimate::try_from_json(&json[start..]).expect("embedded reading parses");
         assert_eq!(parsed, manager.query("edge \"eu\"").unwrap());
     }
 

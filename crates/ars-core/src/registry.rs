@@ -9,10 +9,7 @@
 //! automatically enrolls it in all three.
 
 use ars_stream::exact::Query;
-use ars_stream::generator::{
-    BoundedDeletionGenerator, BurstyGenerator, Generator, TurnstileWaveGenerator, UniformGenerator,
-    ZipfGenerator,
-};
+use ars_stream::generator::{Generator, WorkloadSpec};
 use ars_stream::{StreamModel, Update};
 
 use crate::api::RobustEstimator;
@@ -73,26 +70,6 @@ impl RegistryParams {
     }
 }
 
-/// The synthetic workload an estimator's guarantee is exercised on by
-/// generic drivers (the conformance suite, the E13 registry sweep).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReferenceWorkload {
-    /// Uniform items over `[0, params.domain)`.
-    Uniform,
-    /// Uniform items over a small explicit domain (entropy needs each item
-    /// to recur so plug-in estimators see the distribution).
-    UniformSmall(u64),
-    /// Zipfian items with the given exponent (skewed streams for the
-    /// heavy-elements `F_p` estimator).
-    Zipf(f64),
-    /// Planted heavy hitters over background noise.
-    Bursty,
-    /// Insert/delete waves of [`RegistryParams::turnstile_wave_length`].
-    TurnstileWaves,
-    /// α-bounded-deletion stream for the given α.
-    BoundedDeletion(f64),
-}
-
 /// One registry entry: an estimator plus what a generic driver needs to
 /// stream to it and score it.
 pub struct RegistryEntry {
@@ -106,8 +83,9 @@ pub struct RegistryEntry {
     pub additive: bool,
     /// The stream model the estimator's guarantee assumes.
     pub model: StreamModel,
-    /// The workload generic drivers should exercise the guarantee on.
-    pub workload: ReferenceWorkload,
+    /// The synthetic workload generic drivers (the conformance suite, the
+    /// E13 registry sweep) exercise the guarantee on.
+    pub workload: WorkloadSpec,
     /// Relative (or additive) error budget a conformance run should hold
     /// the estimator to on the reference workload. Wider than ε where the
     /// laptop-scale constant substitutions documented in the module docs
@@ -150,27 +128,9 @@ impl RegistryEntry {
     /// Generates this entry's reference stream.
     #[must_use]
     pub fn reference_stream(&self, params: &RegistryParams, seed: u64) -> Vec<Update> {
-        let m = params.stream_length as usize;
-        match self.workload {
-            ReferenceWorkload::Uniform => {
-                UniformGenerator::new(params.domain, seed).take_updates(m)
-            }
-            ReferenceWorkload::UniformSmall(domain) => {
-                UniformGenerator::new(domain, seed).take_updates(m)
-            }
-            ReferenceWorkload::Zipf(exponent) => {
-                ZipfGenerator::new(params.domain, exponent, seed).take_updates(m)
-            }
-            ReferenceWorkload::Bursty => {
-                BurstyGenerator::new(params.domain, 4, 0.4, seed).take_updates(m)
-            }
-            ReferenceWorkload::TurnstileWaves => {
-                TurnstileWaveGenerator::new(params.turnstile_wave_length()).take_updates(m)
-            }
-            ReferenceWorkload::BoundedDeletion(alpha) => {
-                BoundedDeletionGenerator::new(alpha, 500, seed).take_updates(m)
-            }
-        }
+        self.workload
+            .build(seed)
+            .take_updates(params.stream_length as usize)
     }
 }
 
@@ -190,13 +150,16 @@ impl std::fmt::Debug for RegistryEntry {
 #[must_use]
 pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
     let eps = params.epsilon;
+    let uniform = WorkloadSpec::Uniform {
+        domain: params.domain,
+    };
     let mut entries = vec![RegistryEntry {
         id: "f0/sketch-switching",
         label: "robust F0 (sketch switching, Thm 1.1)".to_string(),
         query: Query::F0,
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Uniform,
+        workload: uniform.clone(),
         error_budget: eps * 1.3,
         min_truth: 200.0,
         estimator: Box::new(params.builder(1).f0()),
@@ -207,7 +170,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::F0,
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Uniform,
+        workload: uniform.clone(),
         error_budget: eps * 1.3,
         min_truth: 200.0,
         estimator: Box::new(params.builder(2).strategy(Strategy::ComputationPaths).f0()),
@@ -218,7 +181,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::F0,
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Uniform,
+        workload: uniform.clone(),
         error_budget: eps * 1.3,
         min_truth: 200.0,
         estimator: Box::new(
@@ -234,7 +197,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::F0,
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Uniform,
+        workload: uniform.clone(),
         error_budget: eps * 1.3,
         min_truth: 200.0,
         estimator: Box::new(
@@ -251,7 +214,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::F0,
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Uniform,
+        workload: uniform.clone(),
         // The DP route stacks the copy accuracy, the answer grid and the
         // drift-gated republication lag on top of ε, so its conformance
         // budget is wider than the switching routes'.
@@ -266,7 +229,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::F0,
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Uniform,
+        workload: uniform.clone(),
         // Like the DP route, the chunked construction stacks telescoped
         // per-chunk sketch errors on top of the rounding window, so its
         // conformance budget is wider than the switching routes'.
@@ -291,7 +254,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             query: Query::Fp(p),
             additive: false,
             model: StreamModel::InsertionOnly,
-            workload: ReferenceWorkload::Uniform,
+            workload: uniform.clone(),
             error_budget: eps * 1.6,
             min_truth: 500.0,
             estimator: Box::new(params.builder(offset).fp(p)),
@@ -306,7 +269,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             query: Query::Fp(p),
             additive: false,
             model: StreamModel::InsertionOnly,
-            workload: ReferenceWorkload::Uniform,
+            workload: uniform.clone(),
             error_budget: eps * 1.6,
             min_truth: 500.0,
             estimator: Box::new(
@@ -326,7 +289,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             query: Query::Fp(p),
             additive: false,
             model: StreamModel::InsertionOnly,
-            workload: ReferenceWorkload::Uniform,
+            workload: uniform.clone(),
             error_budget: eps * 2.0,
             min_truth: 500.0,
             estimator: Box::new(
@@ -346,7 +309,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             query: Query::Fp(p),
             additive: false,
             model: StreamModel::InsertionOnly,
-            workload: ReferenceWorkload::Uniform,
+            workload: uniform.clone(),
             error_budget: eps * 2.0,
             min_truth: 500.0,
             estimator: Box::new(
@@ -364,7 +327,10 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::Fp(3.0),
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Zipf(1.4),
+        workload: WorkloadSpec::Zipf {
+            domain: params.domain,
+            exponent: 1.4,
+        },
         // The heavy-elements estimator at laptop scale is the coarsest
         // static ingredient in the crate.
         error_budget: (2.0 * eps).min(0.9),
@@ -381,7 +347,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::Fp(2.0),
         additive: false,
         model: StreamModel::Turnstile,
-        workload: ReferenceWorkload::TurnstileWaves,
+        workload: WorkloadSpec::TurnstileWave { wave_length: wave },
         error_budget: eps * 1.6,
         min_truth: 300.0,
         estimator: Box::new(
@@ -399,7 +365,10 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::Fp(1.0),
         additive: false,
         model: StreamModel::bounded_deletion(alpha, 1.0),
-        workload: ReferenceWorkload::BoundedDeletion(alpha),
+        workload: WorkloadSpec::BoundedDeletion {
+            alpha,
+            phase_length: 500,
+        },
         error_budget: eps * 1.6,
         min_truth: 200.0,
         estimator: Box::new(
@@ -416,7 +385,9 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::ShannonEntropy,
         additive: true,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::UniformSmall(64),
+        // Entropy needs each item to recur so plug-in estimators see the
+        // distribution: a small explicit domain.
+        workload: WorkloadSpec::Uniform { domain: 64 },
         // Additive bits; the laptop-scale sampled estimator is coarser
         // than the asymptotic bound.
         error_budget: (3.0 * eps).min(1.0),
@@ -435,7 +406,11 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         query: Query::Lp(2.0),
         additive: false,
         model: StreamModel::InsertionOnly,
-        workload: ReferenceWorkload::Bursty,
+        workload: WorkloadSpec::Bursty {
+            domain: params.domain,
+            num_heavy: 4,
+            heavy_fraction: 0.4,
+        },
         error_budget: 0.3f64.max(eps * 1.3),
         min_truth: 30.0,
         estimator: Box::new(params.builder(70).heavy_hitters()),

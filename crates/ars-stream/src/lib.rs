@@ -33,7 +33,7 @@
 //! | [`update`], [`frequency`] | Section 2 stream model, `f ∈ ℝ^n`, exact `F_p`/`F₀`/entropy ground truth |
 //! | [`model`] | the promises the theorems are conditional on: insertion-only (Sections 4–7), λ-flip turnstile (Theorem 4.3), α-bounded deletions (Section 8) |
 //! | [`exact`] | the tracking oracle scoring `(1 ± ε)` guarantees at every stream point |
-//! | [`generator`] | reference workloads behind Table 1 and the E1–E15 experiments |
+//! | [`generator`] | reference workloads behind Table 1 and the E1–E16 experiments |
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

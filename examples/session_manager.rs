@@ -129,6 +129,6 @@ fn main() {
     }
 
     // The wire surface: every tenant's typed reading as one JSON object
-    // (each reading parses back via Estimate::from_json).
+    // (each reading parses back via Estimate::try_from_json).
     println!("\nreadings_json:\n{}", manager.readings_json());
 }

@@ -500,8 +500,6 @@ fn try_build_surfaces_structured_errors_for_every_rejected_range() {
         let (field, _, allowed) = out_of_range(b.try_delta(bad_delta).unwrap_err());
         assert_eq!((field, allowed), ("delta", "(0,1)"));
     }
-    let (field, ..) = out_of_range(b.try_practical_delta_floor(0.0).unwrap_err());
-    assert_eq!(field, "practical_delta_floor");
     for bad_p in [0.0, -1.0, 2.5] {
         let (field, value, _) = out_of_range(b.try_fp(bad_p).unwrap_err());
         assert_eq!(field, "p");
@@ -712,8 +710,8 @@ fn estimate_json_round_trips_for_every_registry_entry() {
             entry.id
         );
         assert_eq!(
-            Estimate::from_json(&json),
-            Some(reading),
+            Estimate::try_from_json(&json),
+            Ok(reading),
             "{}: reading did not round-trip through JSON: {json}",
             entry.id
         );
@@ -735,9 +733,6 @@ fn builder_validation_rejects_bad_parameters() {
         }),
         std::panic::catch_unwind(|| {
             let _ = RobustBuilder::new(0.1).delta(1.0);
-        }),
-        std::panic::catch_unwind(|| {
-            let _ = RobustBuilder::new(0.1).practical_delta_floor(0.0);
         }),
         std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).fp(0.0))),
         std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).fp(2.5))),
