@@ -91,18 +91,6 @@ impl KWiseHash {
         // The hash is < 2^61; level j means h ∈ [2^{61-j-1}, 2^{61-j}).
         (60 - (63 - h.leading_zeros())).min(60)
     }
-
-    /// Evaluates the hash on a batch of items.
-    ///
-    /// This is the interface the fast `F_0` algorithm (Lemma 5.2) uses to
-    /// amortize d-wise independent hashing over d consecutive updates; a
-    /// production system would use the multipoint evaluation of
-    /// Proposition 5.3, here we simply loop (the asymptotics of the space
-    /// bound are unaffected, only the update-time constant).
-    #[must_use]
-    pub fn hash_batch(&self, items: &[u64]) -> Vec<u64> {
-        items.iter().map(|&i| self.hash(i)).collect()
-    }
 }
 
 /// A 4-wise independent ±1 sign function, as required by the AMS and
@@ -217,16 +205,6 @@ mod tests {
         for i in 0..100u64 {
             assert_eq!(s.sign(i), s.sign(i), "signs must be consistent");
             assert!(s.sign(i) == 1 || s.sign(i) == -1);
-        }
-    }
-
-    #[test]
-    fn batch_hash_matches_pointwise() {
-        let h = KWiseHash::new(6, 21);
-        let items: Vec<u64> = (0..64).collect();
-        let batch = h.hash_batch(&items);
-        for (i, &item) in items.iter().enumerate() {
-            assert_eq!(batch[i], h.hash(item));
         }
     }
 

@@ -19,27 +19,54 @@
 //!
 //! The bottom-k set is one sorted `Vec<u64>` of capacity `k`, so the k-th
 //! minimum (the eviction threshold and the estimator's `v_k`) is simply
-//! its last element. An insertion costs:
+//! its last element. The hash is the degree-1 polynomial `c₁·x + c₀` over
+//! `GF(2⁶¹ − 1)`, its two coefficients held inline and evaluated with one
+//! 128-bit multiply and one Mersenne reduction.
 //!
-//! - **reject, O(1)**: once the sketch is full, a hash at or above the
-//!   threshold returns right after hashing — the common case on long
-//!   streams, since only a `k/F₀` fraction of fresh items lands below it;
-//! - **duplicate probe, O(log k)**: a binary search finds a hash already
-//!   stored, and the state is left untouched;
-//! - **insert, O(k)**: a new hash below the threshold (or any new hash
-//!   while the sketch fills) is shifted into place with one `memmove` of
-//!   at most `k` words; once full, `pop` first drops the old threshold.
+//! Updates are absorbed in chunks of at most 64 (a one-element chunk for
+//! [`Estimator::update`]), using stack arrays only:
+//!
+//! 1. **filter, O(1) per update**: hash every insertion and keep the
+//!    hashes below the threshold as it stood at the start of the chunk
+//!    (all of them while the sketch fills). The threshold only falls, so a
+//!    hash at or above it can never enter — on long streams that is all
+//!    but a `k/F₀` fraction of fresh items;
+//! 2. **dedupe, O(c log c + c·log k) for c survivors**: sort the survivors,
+//!    drop repeats within the chunk, and drop every hash already stored,
+//!    found by the interpolated rank search below; the search also yields
+//!    each new hash's insertion slot;
+//! 3. **block merge, O(k) per chunk**: merge the new hashes into the
+//!    vector from the back — each run of stored hashes between two new
+//!    ones moves once with `copy_within` — after first dropping the
+//!    largest of the union so the length never passes `k`.
+//!
+//! The result is the `k` smallest distinct hashes of the old set and the
+//! chunk — exactly what sequential insertion leaves, since bottom-k of a
+//! union does not depend on order — but a chunk of `c` inserts pays one
+//! pass over the vector instead of `c` single-slot shifts of up to `k`
+//! words each.
+//!
+//! **Rank search.** The stored hashes are `len` uniform draws below the
+//! maximum, so the rank of `h` is close to `h·len/(max + 1)`. The search
+//! probes there, gallops outward in doubling steps until it brackets `h`,
+//! and binary-searches the bracket: a few nearby probes on the sketch's
+//! own data, `O(log k)` on any sorted set, and always exactly the `Result`
+//! that `binary_search` returns.
 //!
 //! The sorted vector *is* the stored set — there is no side index — so
 //! [`KmvSketch::space_bytes`] still counts exactly the `k` hash values plus
 //! the hash description.
 
-use ars_hash::KWiseHash;
+use ars_hash::field::{reduce, MERSENNE_P};
 use ars_stream::Update;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::{Estimator, EstimatorFactory};
+
+/// The most updates one block merge absorbs; it sizes the kernel's stack
+/// arrays.
+const CHUNK: usize = 64;
 
 /// Configuration for [`KmvSketch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +91,11 @@ impl KmvConfig {
 #[derive(Debug, Clone)]
 pub struct KmvSketch {
     config: KmvConfig,
-    hash: KWiseHash,
+    /// The pairwise hash `h(x) = c1·x + c0 mod p`. The coefficients are
+    /// drawn in the order `KWiseHash::from_rng(2, ..)` draws them, so the
+    /// hash values are the same as that family's.
+    c0: u64,
+    c1: u64,
     /// The k smallest distinct hash values seen so far, sorted ascending
     /// (normalized to integers for exact ordering; converted to unit floats
     /// on estimate). Once full, `bottom[k - 1]` is the k-th minimum.
@@ -77,11 +108,21 @@ impl KmvSketch {
     pub fn new(config: KmvConfig, seed: u64) -> Self {
         assert!(config.k >= 2);
         let mut rng = StdRng::seed_from_u64(seed);
+        let c0 = rng.gen_range(0..MERSENNE_P);
+        let c1 = rng.gen_range(0..MERSENNE_P);
         Self {
             config,
-            hash: KWiseHash::from_rng(2, &mut rng),
+            c0,
+            c1,
             bottom: Vec::with_capacity(config.k),
         }
+    }
+
+    /// The hash value of `item`, in `[0, p)`. `reduce` is exact on any
+    /// `u128`, so `item` needs no prior reduction mod `p`.
+    #[inline]
+    fn hash(&self, item: u64) -> u64 {
+        reduce(u128::from(self.c1) * u128::from(item) + u128::from(self.c0))
     }
 
     /// The k-th smallest stored hash once the sketch is full: every hash at
@@ -106,29 +147,135 @@ impl KmvSketch {
     /// which relies on duplicate items never changing the state.
     #[must_use]
     pub fn would_ignore(&self, item: u64) -> bool {
-        let h = self.hash.hash(item);
-        self.threshold().is_some_and(|t| h >= t) || self.bottom.binary_search(&h).is_ok()
+        let h = self.hash(item);
+        self.threshold().is_some_and(|t| h >= t) || self.rank(h).is_ok()
+    }
+
+    /// Where `h` sits in the stored set: exactly what
+    /// `self.bottom.binary_search(&h)` returns, found by interpolation and
+    /// galloping (see the module docs).
+    fn rank(&self, h: u64) -> Result<usize, usize> {
+        let b = &self.bottom;
+        let len = b.len();
+        let Some(&max) = b.last() else {
+            return Err(0);
+        };
+        if h >= max {
+            return if h == max { Ok(len - 1) } else { Err(len) };
+        }
+        // `h < max`, so the guess is below `len`, and `b[len - 1] > h`
+        // bounds the upward gallop.
+        let guess = (u128::from(h) * len as u128 / (u128::from(max) + 1)) as usize;
+        // Bracket `h` in `b[lo..hi]`: every hash before `lo` is below it,
+        // every hash from `hi` on is above it.
+        let (lo, hi) = if b[guess] < h {
+            let (mut lo, mut step) = (guess + 1, 1);
+            loop {
+                let probe = guess + step;
+                if probe >= len - 1 {
+                    break (lo, len - 1);
+                }
+                if b[probe] >= h {
+                    break (lo, probe + 1);
+                }
+                lo = probe + 1;
+                step *= 2;
+            }
+        } else {
+            let (mut hi, mut step) = (guess + 1, 1);
+            loop {
+                let Some(probe) = guess.checked_sub(step) else {
+                    break (0, hi);
+                };
+                if b[probe] < h {
+                    break (probe + 1, hi);
+                }
+                hi = probe + 1;
+                step *= 2;
+            }
+        };
+        match b[lo..hi].binary_search(&h) {
+            Ok(i) => Ok(lo + i),
+            Err(i) => Err(lo + i),
+        }
+    }
+
+    /// The batch kernel: folds up to `N` updates into the bottom-k set with
+    /// one block merge (see the module docs). Leaves the same state as
+    /// inserting them one by one.
+    fn absorb<const N: usize>(&mut self, chunk: &[Update]) {
+        debug_assert!(chunk.len() <= N);
+        let k = self.config.k;
+        // Every hash is below `p < u64::MAX`, so while the sketch fills
+        // nothing is filtered.
+        let threshold = self.threshold().unwrap_or(u64::MAX);
+        let mut fresh = [0u64; N];
+        let mut n = 0;
+        for u in chunk {
+            // KMV is defined for insertion-only streams; deletions are
+            // ignored (the robust wrappers only use it in the
+            // insertion-only model).
+            let h = self.hash(u.item);
+            fresh[n] = h;
+            n += usize::from(u.delta > 0 && h < threshold);
+        }
+        if n == 0 {
+            return;
+        }
+        let fresh = &mut fresh[..n];
+        fresh.sort_unstable();
+        // Keep each new hash once, with its insertion slot in `bottom`.
+        // A hash already stored is a duplicate: it must change nothing.
+        let mut slots = [0usize; N];
+        let (mut m, mut previous) = (0, u64::MAX);
+        for i in 0..n {
+            let h = fresh[i];
+            if h == previous {
+                continue;
+            }
+            previous = h;
+            if let Err(slot) = self.rank(h) {
+                fresh[m] = h;
+                slots[m] = slot;
+                m += 1;
+            }
+        }
+        // The union has `len + m` hashes; its largest ones past `k` never
+        // enter (new ones) or are evicted (stored ones). Afterwards the
+        // kept union is `bottom[..i]` and `fresh[..j]`.
+        let len = self.bottom.len();
+        let new_len = (len + m).min(k);
+        let (mut i, mut j) = (len, m);
+        for _ in new_len..len + m {
+            // `slots[j - 1] >= i`: the largest kept new hash lies above
+            // every kept stored one, so it is the union's largest.
+            if j > 0 && slots[j - 1] >= i {
+                j -= 1;
+            } else {
+                i -= 1;
+            }
+        }
+        // Back merge within capacity `k`: each stored run between two new
+        // hashes moves right once, past the new hashes below it.
+        self.bottom.resize(len.max(new_len), 0);
+        for t in (0..j).rev() {
+            let slot = slots[t];
+            self.bottom.copy_within(slot..i, slot + t + 1);
+            self.bottom[slot + t] = fresh[t];
+            i = slot;
+        }
+        self.bottom.truncate(new_len);
     }
 }
 
 impl Estimator for KmvSketch {
     fn update(&mut self, update: Update) {
-        // KMV is defined for insertion-only streams; deletions are ignored
-        // (the robust wrappers only use it in the insertion-only model).
-        if update.delta <= 0 {
-            return;
-        }
-        let h = self.hash.hash(update.item);
-        let threshold = self.threshold();
-        if threshold.is_some_and(|t| h >= t) {
-            return;
-        }
-        // `Ok` is a stored duplicate: the state must not change.
-        if let Err(pos) = self.bottom.binary_search(&h) {
-            if threshold.is_some() {
-                self.bottom.pop();
-            }
-            self.bottom.insert(pos, h);
+        self.absorb::<1>(std::slice::from_ref(&update));
+    }
+
+    fn update_batch(&mut self, updates: &[Update]) {
+        for chunk in updates.chunks(CHUNK) {
+            self.absorb::<CHUNK>(chunk);
         }
     }
 
@@ -139,7 +286,7 @@ impl Estimator for KmvSketch {
             // range at these cardinalities).
             return self.bottom.len() as f64;
         }
-        let v_k = self.bottom[self.config.k - 1] as f64 / ars_hash::field::MERSENNE_P as f64;
+        let v_k = self.bottom[self.config.k - 1] as f64 / MERSENNE_P as f64;
         (self.config.k as f64 - 1.0) / v_k
     }
 
@@ -173,6 +320,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    use ars_hash::KWiseHash;
     use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
     use ars_stream::FrequencyVector;
 
@@ -277,19 +425,142 @@ mod tests {
                 .collect();
             assert_matches_reference(k, seed, &duplicates);
             // Interleaved deletions, which both kernels ignore.
-            let churn: Vec<Update> = UniformGenerator::new(1 << 14, seed)
-                .take_updates(6_000)
-                .into_iter()
-                .enumerate()
-                .map(|(t, u)| {
-                    if t % 3 == 2 {
-                        Update::delete(u.item)
-                    } else {
-                        u
-                    }
-                })
-                .collect();
+            let churn = with_deletions(UniformGenerator::new(1 << 14, seed).take_updates(6_000));
             assert_matches_reference(k, seed, &churn);
+        }
+    }
+
+    /// Every third update of `updates` turned into a deletion of its item.
+    fn with_deletions(updates: Vec<Update>) -> Vec<Update> {
+        updates
+            .into_iter()
+            .enumerate()
+            .map(|(t, u)| {
+                if t % 3 == 2 {
+                    Update::delete(u.item)
+                } else {
+                    u
+                }
+            })
+            .collect()
+    }
+
+    /// Feeds `updates` to one sketch through `update_batch` in batches of
+    /// `batch`, to a second one update at a time and to the reference.
+    /// After every batch it compares the stored minima, the estimate's
+    /// bits and `would_ignore` of the batch's first item and of the next
+    /// batch's first item, and checks that the stored set never outgrew
+    /// its capacity.
+    fn assert_batches_match(k: usize, seed: u64, updates: &[Update], batch: usize) {
+        let config = KmvConfig { k };
+        let mut batched = KmvSketch::new(config, seed);
+        let mut sequential = KmvSketch::new(config, seed);
+        let mut reference = ReferenceKmv::new(config, seed);
+        let capacity = batched.bottom.capacity();
+        for (b, chunk) in updates.chunks(batch).enumerate() {
+            batched.update_batch(chunk);
+            for &u in chunk {
+                sequential.update(u);
+                reference.update(u);
+            }
+            let at = format!("k={k} batch size {batch}, batch {b}");
+            assert!(batched.bottom.len() <= k, "{at}: more than k minima");
+            assert_eq!(batched.bottom.capacity(), capacity, "{at}: grew");
+            assert!(
+                batched.bottom.iter().eq(reference.bottom.iter()),
+                "{at}: batched minima differ from the reference"
+            );
+            assert_eq!(batched.bottom, sequential.bottom, "{at}");
+            let bits = reference.estimate().to_bits();
+            assert_eq!(batched.estimate().to_bits(), bits, "{at}");
+            assert_eq!(sequential.estimate().to_bits(), bits, "{at}");
+            let next = updates.get((b + 1) * batch).map(|u| u.item);
+            for item in [Some(chunk[0].item), next].into_iter().flatten() {
+                let ignored = reference.would_ignore(item);
+                assert_eq!(batched.would_ignore(item), ignored, "{at}: {item}");
+                assert_eq!(sequential.would_ignore(item), ignored, "{at}: {item}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_kernel_matches_sequential_updates_and_the_reference() {
+        for (i, k) in [2usize, 8, 64, 1024].into_iter().enumerate() {
+            let seed = 71 + i as u64;
+            let streams = [
+                UniformGenerator::new(1 << 20, seed).take_updates(12_000),
+                ZipfGenerator::new(1 << 12, 1.2, seed).take_updates(12_000),
+                (0..12_000u64)
+                    .map(|t| Update::insert((t * 7) % 13))
+                    .collect(),
+            ];
+            for stream in streams {
+                let stream = with_deletions(stream);
+                for batch in [1, 3, 16, 63, 64, 65, 200, 5_000] {
+                    assert_batches_match(k, seed, &stream, batch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_search_returns_exactly_what_binary_search_returns() {
+        let p = MERSENNE_P;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut uniform_below = |n: usize, bound: u64| -> Vec<u64> {
+            (0..n).map(|_| rng.gen_range(0..bound)).collect()
+        };
+        let mut sets: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![p - 1],
+            vec![0, p - 1],
+            // A sketch's own shape: uniform below a small maximum.
+            uniform_below(1_024, p / 4_096),
+            // Tightly clustered, with the maximum far above the cluster:
+            // every interpolated guess lands far from the true rank.
+            (1u64 << 40..(1u64 << 40) + 1_000).chain([p - 1]).collect(),
+            // Clustered at the top, with 0 stored below it.
+            std::iter::once(0).chain(p - 1_000..p).collect(),
+        ];
+        for n in [1, 2, 3, 17, 1_000, 4_096] {
+            sets.push(uniform_below(n, p));
+        }
+        let mut sketch = KmvSketch::new(KmvConfig { k: 8 }, 1);
+        for mut set in sets {
+            set.sort_unstable();
+            set.dedup();
+            let max = set.last().copied().unwrap_or(0);
+            let mut probes = vec![0, 1, p - 2, p - 1, max, max.saturating_sub(1), max + 1];
+            for &h in &set {
+                probes.extend([h.saturating_sub(1), h, h + 1]);
+            }
+            probes.extend(uniform_below(500, p));
+            probes.extend(uniform_below(500, max + 1));
+            sketch.bottom = set;
+            for h in probes {
+                assert_eq!(
+                    sketch.rank(h),
+                    sketch.bottom.binary_search(&h),
+                    "h = {h} in a set of {}",
+                    sketch.bottom.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inline_hash_matches_the_pairwise_polynomial_family() {
+        let p = MERSENNE_P;
+        for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
+            let sketch = KmvSketch::new(KmvConfig { k: 8 }, seed);
+            let family = KWiseHash::from_rng(2, &mut StdRng::seed_from_u64(seed));
+            let edges = [0, 1, 2, p - 1, p, p + 1, 2 * p, u64::MAX - 1, u64::MAX];
+            let mut rng = StdRng::seed_from_u64(seed ^ 7);
+            let random: Vec<u64> = (0..2_000).map(|_| rng.gen()).collect();
+            for item in edges.into_iter().chain(random) {
+                assert_eq!(sketch.hash(item), family.hash(item), "seed {seed}: {item}");
+            }
         }
     }
 
@@ -325,7 +596,7 @@ mod tests {
         }
         let before = sketch.bottom.clone();
         for i in 0..10_000u64 {
-            assert!(sketch.would_ignore(i) || !sketch.bottom.contains(&sketch.hash.hash(i)));
+            assert!(sketch.would_ignore(i) || !sketch.bottom.contains(&sketch.hash(i)));
             sketch.insert(i);
         }
         assert_eq!(before, sketch.bottom, "re-inserting seen items is a no-op");
