@@ -5,10 +5,11 @@
 //! one F0 tenant from a provisioner spec, then measures three legs over
 //! the socket with the crate's own blocking client: batched `POST
 //! /tenants/{name}/update`, `GET /tenants/{name}/query`, and `GET
-//! /metrics`. The in-process `SessionManager::update_batch` figure for
-//! the identical workload is recorded next to them, so the wire tax
-//! (connection setup + parse + mutex + serialize) is a number, not a
-//! guess. Writes the repo's BENCH_serve_throughput.json trajectory point
+//! /metrics`. The client keeps one persistent connection, so every leg
+//! measures what a connected client pays per request: one round trip,
+//! parse, mutex and serialize, and no connection setup. The in-process
+//! `SessionManager::update_batch` figure for the identical workload is
+//! recorded next to them, so the wire tax is a number, not a guess. Writes the repo's BENCH_serve_throughput.json trajectory point
 //! unless `ARS_BENCH_NO_WRITE` is set.
 //!
 //! [`FleetServer`]: ars_serve::server::FleetServer

@@ -2,14 +2,20 @@
 //! response writing over any `Read`/`Write` pair.
 //!
 //! The build environment vendors no HTTP crate, and the serving surface
-//! needs only a small, strict subset of RFC 9112: one request per
-//! connection (`Connection: close` on every response), `Content-Length`
-//! bodies only (no chunked transfer), and hard limits on every dimension
-//! an unauthenticated peer controls — request-line length, header count
-//! and bytes, body size. Anything outside the subset is a typed
-//! [`HttpError`] that the server maps to a 4xx response; nothing in this
-//! module panics on attacker-controlled input.
+//! needs only a small, strict subset of RFC 9112: persistent connections
+//! (HTTP/1.1's default; [`Request::keep_alive`] says whether the peer
+//! asked for one), `Content-Length` bodies only (no chunked transfer),
+//! and hard limits on every dimension an unauthenticated peer controls —
+//! request-line length, header count and bytes, body size. Anything
+//! outside the subset is a typed [`HttpError`] that the server maps to a
+//! 4xx response; nothing in this module panics on attacker-controlled
+//! input.
+//!
+//! [`read_request_from`] parses one request from a `BufRead` and reads
+//! no byte past it, so a server can keep one buffered reader for the
+//! whole life of a connection and parse request after request from it.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// Hard limits on attacker-controlled request dimensions.
@@ -86,6 +92,10 @@ pub struct Request {
     pub segments: Vec<String>,
     /// The request body (empty when no `Content-Length` was sent).
     pub body: String,
+    /// Whether the peer asked to keep the connection open after the
+    /// response: an HTTP/1.1 request unless it sent `connection: close`,
+    /// an HTTP/1.0 request only if it sent `connection: keep-alive`.
+    pub keep_alive: bool,
 }
 
 fn bad(reason: impl Into<String>) -> HttpError {
@@ -157,11 +167,21 @@ pub fn percent_decode(segment: &str) -> Result<String, HttpError> {
 /// Defects are typed, never panics: a malformed request line, unsupported
 /// transfer encoding, bad or missing `Content-Length` framing, a body the
 /// peer never delivers, or any limit violation all come back as
-/// [`HttpError`].
+/// [`HttpError`]. The reader is dropped afterwards, so bytes buffered past
+/// the request are lost; a server that reads several requests from one
+/// connection uses [`read_request_from`].
 pub fn read_request<R: Read>(stream: R, limits: &Limits) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
+    read_request_from(&mut BufReader::new(stream), limits)
+}
 
-    let request_line = read_line(&mut reader, limits.max_request_line, "request line")?;
+/// [`read_request`] on a buffered reader the caller keeps: parses one
+/// request and consumes exactly its bytes, leaving the next request's
+/// bytes in `reader`.
+pub fn read_request_from<R: BufRead>(
+    reader: &mut R,
+    limits: &Limits,
+) -> Result<Request, HttpError> {
+    let request_line = read_line(reader, limits.max_request_line, "request line")?;
     let mut parts = request_line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
@@ -176,8 +196,9 @@ pub fn read_request<R: Read>(stream: R, limits: &Limits) -> Result<Request, Http
     let mut header_bytes = 0usize;
     let mut header_count = 0usize;
     let mut content_length: Option<usize> = None;
+    let (mut close, mut keep_alive) = (false, false);
     loop {
-        let line = read_line(&mut reader, limits.max_header_bytes, "header")?;
+        let line = read_line(reader, limits.max_header_bytes, "header")?;
         if line.is_empty() {
             break;
         }
@@ -217,6 +238,12 @@ pub fn read_request<R: Read>(stream: R, limits: &Limits) -> Result<Request, Http
                                 send a content-length body"
                     .to_string()));
             }
+            "connection" => {
+                for token in value.split(',').map(str::trim) {
+                    close |= token.eq_ignore_ascii_case("close");
+                    keep_alive |= token.eq_ignore_ascii_case("keep-alive");
+                }
+            }
             "expect" => {
                 return Err(bad(format!("expect: {value} is not supported")));
             }
@@ -255,6 +282,7 @@ pub fn read_request<R: Read>(stream: R, limits: &Limits) -> Result<Request, Http
         target: target.to_string(),
         segments,
         body,
+        keep_alive: !close && (keep_alive || version != "HTTP/1.0"),
     })
 }
 
@@ -290,19 +318,30 @@ impl Response {
         }
     }
 
-    /// Serializes the response to `stream` with `Connection: close`
-    /// framing. Write errors are returned (the peer may have hung up —
-    /// routine for a server, not a defect).
+    /// Serializes the response to `stream` with `connection: close`
+    /// framing, for a peer that gets one response on its connection.
+    /// Write errors are returned (the peer may have hung up — routine for
+    /// a server, not a defect).
     pub fn write_to<W: Write>(&self, stream: &mut W) -> std::io::Result<()> {
-        let head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        self.write_framed(stream, false)
+    }
+
+    /// Serializes head and body in one write, with a `connection` header
+    /// that says whether the server keeps the connection open afterwards.
+    pub fn write_framed<W: Write>(&self, stream: &mut W, keep_alive: bool) -> std::io::Result<()> {
+        let mut wire = String::with_capacity(128 + self.body.len());
+        // Formatting into a `String` cannot fail.
+        let _ = write!(
+            wire,
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
             self.status,
             status_text(self.status),
             self.content_type,
-            self.body.len()
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
+        wire.push_str(&self.body);
+        stream.write_all(wire.as_bytes())?;
         stream.flush()
     }
 }
@@ -429,5 +468,63 @@ mod tests {
         assert!(text.contains("content-length: 11\r\n"), "{text}");
         assert!(text.contains("connection: close\r\n"), "{text}");
         assert!(text.ends_with("{\"ok\":true}"), "{text}");
+    }
+
+    #[test]
+    fn keep_alive_follows_the_version_and_the_connection_header() {
+        for (raw, keep_alive) in [
+            ("GET /x HTTP/1.1\r\n\r\n", true),
+            ("GET /x HTTP/1.1\r\nconnection: close\r\n\r\n", false),
+            (
+                "GET /x HTTP/1.1\r\nConnection: Keep-Alive, Close\r\n\r\n",
+                false,
+            ),
+            ("GET /x HTTP/1.0\r\n\r\n", false),
+            ("GET /x HTTP/1.0\r\nconnection: keep-alive\r\n\r\n", true),
+            (
+                "GET /x HTTP/1.0\r\nconnection: keep-alive, close\r\n\r\n",
+                false,
+            ),
+        ] {
+            assert_eq!(parse(raw).unwrap().keep_alive, keep_alive, "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn one_reader_parses_back_to_back_requests_without_over_reading() {
+        let raw = "POST /a HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc\
+                   GET /b HTTP/1.1\n\n\
+                   GET /c HTTP/1.1\r\n\r\n";
+        // A one-byte buffer forces every line to span many refills.
+        for capacity in [1, 7, 8 * 1024] {
+            let mut reader = BufReader::with_capacity(capacity, raw.as_bytes());
+            let limits = Limits::default();
+            let a = read_request_from(&mut reader, &limits).unwrap();
+            assert_eq!(
+                (a.segments, a.body),
+                (vec!["a".to_string()], "abc".to_string())
+            );
+            let b = read_request_from(&mut reader, &limits).unwrap();
+            assert_eq!(b.segments, vec!["b"]);
+            let c = read_request_from(&mut reader, &limits).unwrap();
+            assert_eq!(c.segments, vec!["c"]);
+            assert!(reader.fill_buf().unwrap().is_empty(), "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn framed_responses_say_whether_the_connection_stays_open() {
+        for (keep_alive, header) in [
+            (true, "connection: keep-alive\r\n"),
+            (false, "connection: close\r\n"),
+        ] {
+            let mut out = Vec::new();
+            Response::json(200, "{}")
+                .write_framed(&mut out, keep_alive)
+                .unwrap();
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.contains(header), "{text}");
+            assert!(text.ends_with("\r\n\r\n{}"), "{text}");
+        }
     }
 }

@@ -9,13 +9,19 @@
 //! snapshot/restore are reachable over a socket.
 //!
 //! * [`server::FleetServer`] — the listener, worker pool and router; one
-//!   mutex-guarded manager shared by every worker.
+//!   mutex-guarded manager shared by every worker. Connections are
+//!   persistent (HTTP/1.1's default): a worker serves request after
+//!   request on one connection, and at most `workers − 1` connections
+//!   are kept open between requests, so a new connection never waits on
+//!   an idle one.
 //! * [`http`] — bounded request parsing and response framing; every
-//!   malformed or oversized request is a typed 4xx, never a panic.
-//! * [`metrics`] — the request counters, latency histogram and per-tenant
-//!   gauges behind `GET /metrics`.
+//!   malformed or oversized request is a typed 4xx, never a panic, and
+//!   closes its connection.
+//! * [`metrics`] — the request and connection counters, latency
+//!   histogram and per-tenant gauges behind `GET /metrics`.
 //! * [`client`] — the minimal blocking client the tests, example and
-//!   bench drive the real socket path with.
+//!   bench drive the real socket path with; it reuses one idle
+//!   connection per thread.
 //!
 //! Snapshot/restore rides on [`ars_core::manager::SessionManager::snapshot_json`]:
 //! tenants registered from a declarative [`ars_core::spec::ProvisionerSpec`]

@@ -2,13 +2,14 @@
 //!
 //! Hand-rolled like the rest of the repo's wire formats: the registry
 //! keeps request/response counters and a fixed-bucket latency histogram
-//! behind one mutex, and [`MetricsRegistry::render`] emits the text
+//! behind one mutex, a lock-free connection counter beside them, and [`MetricsRegistry::render`] emits the text
 //! exposition format (`# HELP`/`# TYPE` plus samples) with per-tenant
 //! gauges derived from the live [`ars_core::manager::SessionManager`]
 //! health report — flip ledger and budget, re-provision count, accepted
 //! updates, space, tier.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -38,6 +39,9 @@ struct Counters {
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: Mutex<Counters>,
+    /// Connections the workers have taken on. With persistent
+    /// connections, `requests ÷ connections` is the reuse rate.
+    connections: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -47,9 +51,16 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Records one connection a worker has taken on, before its first
+    /// request.
+    pub fn record_connection(&self) {
+        self.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one served request: its normalized route label (e.g.
     /// `"/tenants/{name}/update"`), the response status, and the
-    /// wall-clock service latency.
+    /// wall-clock service latency, from the request's first byte to the
+    /// response being ready to write.
     pub fn record(&self, route: &'static str, status: u16, latency: Duration) {
         let seconds = latency.as_secs_f64();
         let mut counters = self.counters.lock().expect("metrics mutex poisoned");
@@ -89,7 +100,16 @@ impl MetricsRegistry {
                 ));
             }
             out.push_str(
-                "# HELP ars_http_request_duration_seconds Request service latency.\n\
+                "# HELP ars_http_connections_total Connections accepted by the workers.\n\
+                 # TYPE ars_http_connections_total counter\n",
+            );
+            out.push_str(&format!(
+                "ars_http_connections_total {}\n",
+                self.connections.load(Ordering::Relaxed)
+            ));
+            out.push_str(
+                "# HELP ars_http_request_duration_seconds Request service latency, \
+                 from the request's first byte to its response.\n\
                  # TYPE ars_http_request_duration_seconds histogram\n",
             );
             let mut cumulative = 0u64;
@@ -264,6 +284,32 @@ mod tests {
             .collect();
         assert_eq!(counts.len(), LATENCY_BUCKETS.len() + 1);
         assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
+    }
+
+    #[test]
+    fn connections_count_separately_from_the_requests_they_carry() {
+        let registry = MetricsRegistry::new();
+        let text = registry.render(&[]);
+        assert!(text.contains("ars_http_connections_total 0\n"), "{text}");
+        // One kept-alive connection carrying three requests, then one
+        // connection that closes before sending a byte.
+        registry.record_connection();
+        for _ in 0..3 {
+            registry.record("/tenants/{name}/query", 200, Duration::from_micros(40));
+        }
+        registry.record_connection();
+        registry.record("(malformed)", 400, Duration::from_micros(5));
+        let text = registry.render(&[]);
+        assert!(
+            text.contains(
+                "# TYPE ars_http_connections_total counter\nars_http_connections_total 2\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("ars_http_request_duration_seconds_count 4\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -2,13 +2,40 @@
 //! [`SessionManager`].
 //!
 //! One acceptor thread hands connections to a fixed pool of worker
-//! threads over a channel; each worker parses one request (bounded by
-//! [`Limits`]), routes it against the mutex-guarded manager, records the
-//! outcome in the [`MetricsRegistry`], and answers with
-//! `Connection: close` framing. Every failure an HTTP peer can cause is a
-//! typed 4xx/5xx with the reason in the body — the workers never panic on
-//! wire input, and a lost connection mid-response is ignored (the peer
-//! hung up; that is their privilege).
+//! threads over a channel. A worker serves requests on its connection in
+//! a loop, through one buffered reader that lives as long as the
+//! connection: it parses a request (bounded by [`Limits`]), routes it
+//! against the mutex-guarded manager, records the outcome in the
+//! [`MetricsRegistry`], and writes the response's head and body in one
+//! write. Every failure an HTTP peer can cause is a typed 4xx/5xx with
+//! the reason in the body — the workers never panic on wire input, and a
+//! lost connection mid-response is ignored (the peer hung up; that is
+//! their privilege).
+//!
+//! # Persistent connections
+//!
+//! Connections are persistent, HTTP/1.1's default. The `connection`
+//! header of every response says truthfully whether the server keeps the
+//! connection open. It closes the connection:
+//!
+//! * after a request that sends `connection: close`, and after an
+//!   HTTP/1.0 request that does not send `connection: keep-alive`;
+//! * after a wire error (400/413), since the framing can no longer be
+//!   trusted;
+//! * on EOF or a read error between two requests, and when the
+//!   connection sits idle for [`ServerConfig::read_timeout`] — silently,
+//!   since no request was started. A fresh connection that closes before
+//!   sending a byte still gets a 400;
+//! * when no keep-alive slot is free. At most `workers − 1` connections
+//!   stay open between requests, so one worker is always free to take a
+//!   new connection, and a server with one worker closes after every
+//!   response.
+//!
+//! [`ServerHandle::shutdown`] shuts the read side of every live
+//! connection, so an idle kept-alive peer never makes it wait out the
+//! read timeout. The server closes a kept-alive connection only while it
+//! is idle or at shutdown, never after reading part of a request without
+//! answering it; that is what makes [`crate::client`]'s one retry safe.
 //!
 //! # Routes
 //!
@@ -29,9 +56,10 @@
 //! `UnknownSession` → 404, `StateUnavailable` → 409, `Stream` → 422,
 //! `BudgetExhausted` → 503.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -44,7 +72,7 @@ use ars_core::manager::SessionManager;
 use ars_core::spec::ProvisionerSpec;
 use ars_stream::Update;
 
-use crate::http::{read_request, HttpError, Limits, Request, Response};
+use crate::http::{read_request_from, HttpError, Limits, Request, Response};
 use crate::metrics::MetricsRegistry;
 
 /// Server construction knobs.
@@ -53,10 +81,12 @@ pub struct ServerConfig {
     /// Bind address; port 0 asks the OS for an ephemeral port (the bound
     /// address is on [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads serving parsed requests.
+    /// Worker threads serving connections. At most `workers − 1`
+    /// connections are kept open between requests.
     pub workers: usize,
     /// Per-connection read timeout — a peer that opens a socket and goes
-    /// silent occupies a worker for at most this long.
+    /// silent, or leaves a kept-alive connection idle, occupies a worker
+    /// for at most this long.
     pub read_timeout: Duration,
     /// Wire-level request limits.
     pub limits: Limits,
@@ -108,11 +138,13 @@ impl FleetServer {
         let (sender, receiver): (Sender<TcpStream>, Receiver<TcpStream>) = mpsc::channel();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers = self.config.workers.max(1);
+        let connections = Arc::new(Connections::new(workers - 1));
         let mut threads = Vec::with_capacity(workers + 1);
         for i in 0..workers {
             let receiver = Arc::clone(&receiver);
             let manager = Arc::clone(&self.manager);
             let metrics = Arc::clone(&metrics);
+            let connections = Arc::clone(&connections);
             let config = self.config.clone();
             threads.push(
                 std::thread::Builder::new()
@@ -123,7 +155,9 @@ impl FleetServer {
                             guard.recv()
                         };
                         match stream {
-                            Ok(stream) => serve_connection(stream, &manager, &metrics, &config),
+                            Ok(stream) => {
+                                serve_connection(stream, &manager, &metrics, &connections, &config)
+                            }
                             // The acceptor dropped the sender: shutdown.
                             Err(_) => break,
                         }
@@ -157,6 +191,7 @@ impl FleetServer {
             addr,
             manager: self.manager,
             metrics,
+            connections,
             stop,
             threads,
         })
@@ -170,6 +205,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     manager: Arc<Mutex<SessionManager>>,
     metrics: Arc<MetricsRegistry>,
+    connections: Arc<Connections>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -194,9 +230,12 @@ impl ServerHandle {
         Arc::clone(&self.metrics)
     }
 
-    /// Stops accepting, drains the workers, joins every thread.
+    /// Stops accepting, shuts the read side of every live connection
+    /// (a request already read is still answered), drains the workers,
+    /// joins every thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.connections.shut_all();
         // Unblock the acceptor's blocking `accept` with one self-connect.
         let _ = TcpStream::connect(self.addr);
         for thread in self.threads.drain(..) {
@@ -205,27 +244,141 @@ impl ServerHandle {
     }
 }
 
-/// Serves one connection: parse (bounded), route, respond, close.
+/// The connections the workers are serving: the keep-alive slots, and
+/// every live stream, so [`ServerHandle::shutdown`] can end them all.
+struct Connections {
+    /// Free keep-alive slots, `workers − 1` when no connection is kept.
+    free_slots: AtomicUsize,
+    live: Mutex<Live>,
+}
+
+#[derive(Default)]
+struct Live {
+    shut: bool,
+    next_id: u64,
+    streams: HashMap<u64, Arc<TcpStream>>,
+}
+
+impl Connections {
+    fn new(slots: usize) -> Self {
+        Self {
+            free_slots: AtomicUsize::new(slots),
+            live: Mutex::new(Live::default()),
+        }
+    }
+
+    fn live(&self) -> std::sync::MutexGuard<'_, Live> {
+        self.live.lock().expect("connection registry poisoned")
+    }
+
+    /// Registers a stream until the returned guard drops. After
+    /// [`Connections::shut_all`] the stream's read side is shut at once,
+    /// so a connection still queued at shutdown cannot block its worker.
+    fn register(&self, stream: &Arc<TcpStream>) -> Registered<'_> {
+        let mut live = self.live();
+        if live.shut {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let id = live.next_id;
+        live.next_id += 1;
+        live.streams.insert(id, Arc::clone(stream));
+        Registered {
+            connections: self,
+            id,
+        }
+    }
+
+    fn shut_all(&self) {
+        let mut live = self.live();
+        live.shut = true;
+        for stream in live.streams.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// Takes a keep-alive slot if one is free. The count publishes no
+    /// other data, so `Relaxed` suffices: atomicity alone bounds it.
+    fn try_keep(&self) -> Option<KeepAlive<'_>> {
+        self.free_slots
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
+                free.checked_sub(1)
+            })
+            .ok()
+            .map(|_| KeepAlive(self))
+    }
+}
+
+/// A registered live connection; deregisters on drop.
+struct Registered<'a> {
+    connections: &'a Connections,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.connections.live().streams.remove(&self.id);
+    }
+}
+
+/// A held keep-alive slot; frees it on drop.
+struct KeepAlive<'a>(&'a Connections);
+
+impl Drop for KeepAlive<'_> {
+    fn drop(&mut self) {
+        self.0.free_slots.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Serves one connection: parse (bounded), route and respond, request
+/// after request, until a close rule in the module docs applies.
 fn serve_connection(
     stream: TcpStream,
     manager: &Arc<Mutex<SessionManager>>,
     metrics: &Arc<MetricsRegistry>,
+    connections: &Connections,
     config: &ServerConfig,
 ) {
-    let started = Instant::now();
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let (route, response) = match read_request(&stream, &config.limits) {
-        Ok(request) => route_request(&request, manager, metrics),
-        Err(err) => ("(malformed)", wire_error_response(&err)),
-    };
-    metrics.record(route, response.status, started.elapsed());
-    // A write failure means the peer hung up; nothing to do.
-    let _ = response.write_to(&mut writer);
+    let stream = Arc::new(stream);
+    let _registered = connections.register(&stream);
+    metrics.record_connection();
+    let mut reader = BufReader::new(&*stream);
+    let mut writer = &*stream;
+    let mut slot: Option<KeepAlive<'_>> = None;
+    loop {
+        // Wait for the next request's first byte. On a kept-alive
+        // connection, EOF, a reset or the idle timeout ends it silently.
+        let first = reader.fill_buf().map(|buf| !buf.is_empty());
+        if slot.is_some() && !matches!(first, Ok(true)) {
+            return;
+        }
+        let started = Instant::now();
+        let parsed = match first {
+            // Reading again would wait out a second timeout.
+            Err(err) => Err(HttpError::BadRequest(format!(
+                "read error in request line: {err}"
+            ))),
+            Ok(_) => read_request_from(&mut reader, &config.limits),
+        };
+        let (route, response, wants_keep_alive) = match parsed {
+            Ok(request) => {
+                let (route, response) = route_request(&request, manager, metrics);
+                (route, response, request.keep_alive)
+            }
+            Err(err) => ("(malformed)", wire_error_response(&err), false),
+        };
+        if !wants_keep_alive {
+            slot = None;
+        } else if slot.is_none() {
+            slot = connections.try_keep();
+        }
+        metrics.record(route, response.status, started.elapsed());
+        // A write failure means the peer hung up; nothing to do.
+        if response.write_framed(&mut writer, slot.is_some()).is_err() || slot.is_none() {
+            return;
+        }
+    }
 }
 
 fn wire_error_response(err: &HttpError) -> Response {
@@ -603,6 +756,7 @@ fn restore(manager: &Arc<Mutex<SessionManager>>, body: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::read_request;
     use ars_core::spec::ProblemSpec;
 
     fn shared(manager: SessionManager) -> Arc<Mutex<SessionManager>> {

@@ -7,7 +7,9 @@
 //!   transport in the way.
 //! * [`HttpBackend`] — the real `ars-serve` socket path via
 //!   [`ars_serve::client`]; measures what an external client would see,
-//!   connection setup and HTTP framing included.
+//!   HTTP framing included. The client reuses its thread's idle
+//!   connection, so connection setup is paid once per connection the
+//!   server keeps open, not once per call.
 //!
 //! Both return the same typed [`BackendError`] split: [`Rejected`] means
 //! the backend *worked* — it refused an out-of-model batch (ingesting the
