@@ -8,8 +8,8 @@
 //! talked to, and [`request`] reuses it when it targets the same
 //! address. Talking to another server closes the idle one, so the cache
 //! never grows with the number of servers a thread has used. A response
-//! is read by its `Content-Length`; one that says `connection: close`
-//! (or has no length) leaves no connection behind.
+//! is read by its `Content-Length`, and the connection is kept only when
+//! the response says `connection: keep-alive`.
 //!
 //! A reused connection may have been closed by the server while it sat
 //! idle (its read timeout, or a shutdown). When a reused connection
@@ -110,7 +110,8 @@ fn malformed(what: &str) -> io::Error {
 }
 
 /// Reads one response: `(status, body, whether the connection stays
-/// open)`. Without a `Content-Length` the body runs to EOF.
+/// open)`. The server always frames with `Content-Length` and states
+/// `connection`; a response without a length is malformed.
 fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, String, bool)> {
     let mut line = String::new();
     reader.read_line(&mut line)?;
@@ -120,7 +121,7 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, String, bool)> 
         .and_then(|code| code.parse().ok())
         .ok_or_else(|| malformed("status line"))?;
     let mut length: Option<usize> = None;
-    let mut keep_alive = line.starts_with("HTTP/1.1 ");
+    let mut keep_alive = false;
     loop {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
@@ -135,23 +136,16 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, String, bool)> 
         if name.eq_ignore_ascii_case("content-length") {
             length = Some(value.parse().map_err(|_| malformed("content-length"))?);
         } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = !value.eq_ignore_ascii_case("close");
+            keep_alive = value.eq_ignore_ascii_case("keep-alive");
         }
     }
+    let length = length.ok_or_else(|| malformed("no content-length"))?;
     // The body grows as bytes arrive: a length header alone allocates
     // nothing.
     let mut body = Vec::new();
-    match length {
-        Some(len) => {
-            reader.take(len as u64).read_to_end(&mut body)?;
-            if body.len() < len {
-                return Err(malformed("body shorter than content-length"));
-            }
-        }
-        None => {
-            reader.read_to_end(&mut body)?;
-            keep_alive = false;
-        }
+    reader.take(length as u64).read_to_end(&mut body)?;
+    if body.len() < length {
+        return Err(malformed("body shorter than content-length"));
     }
     let body = String::from_utf8(body).map_err(|_| malformed("body is not UTF-8"))?;
     Ok((status, body, keep_alive))
@@ -184,7 +178,7 @@ mod tests {
     #[test]
     fn response_parsing_extracts_status_and_body() {
         let raw = "HTTP/1.1 404 Not Found\r\ncontent-length: 2\r\n\r\nno";
-        assert_eq!(parse(raw), Some((404, "no".to_string(), true)));
+        assert_eq!(parse(raw), Some((404, "no".to_string(), false)));
         assert_eq!(parse("garbage"), None);
         // The body stops at content-length: the rest is the next response.
         let mut two = "HTTP/1.1 200 OK\r\ncontent-length: 1\r\nconnection: keep-alive\r\n\r\na\
@@ -198,11 +192,8 @@ mod tests {
             read_response(&mut two).unwrap(),
             (201, "b".to_string(), false)
         );
-        // No content-length: the body runs to EOF and the connection ends.
-        assert_eq!(
-            parse("HTTP/1.1 200 OK\r\n\r\nrest"),
-            Some((200, "rest".to_string(), false))
-        );
+        // No content-length: this client cannot frame the body.
+        assert_eq!(parse("HTTP/1.1 200 OK\r\n\r\nrest"), None);
         // A body cut short is an error, not a short reading.
         assert_eq!(
             parse("HTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\nab"),
