@@ -7,16 +7,22 @@
 //! /tenants/{name}/update`, `GET /tenants/{name}/query`, and `GET
 //! /metrics`. The client keeps one persistent connection, so every leg
 //! measures what a connected client pays per request: one round trip,
-//! parse, mutex and serialize, and no connection setup. The in-process
-//! `SessionManager::update_batch` figure for the identical workload is
-//! recorded next to them, so the wire tax is a number, not a guess. Writes the repo's BENCH_serve_throughput.json trajectory point
-//! unless `ARS_BENCH_NO_WRITE` is set.
+//! parse, mutex and serialize, and no connection setup.
+//!
+//! The wire tax comes from paired timings: a second, identical tenant
+//! lives in an in-process `SessionManager`, and every update batch is
+//! timed on both tenants back to back, alternating which goes first, so
+//! host drift hits both sides of a pair alike. `wire_tax` is the median
+//! per-batch ratio of HTTP to in-process time, with its min and max.
+//! Writes the repo's BENCH_serve_throughput.json trajectory point unless
+//! `ARS_BENCH_NO_WRITE` is set.
 //!
 //! [`FleetServer`]: ars_serve::server::FleetServer
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use ars_core::json::JsonWriter;
 use ars_core::manager::SessionManager;
 use ars_core::spec::{ProblemSpec, ProvisionerSpec};
 use ars_serve::client;
@@ -38,26 +44,20 @@ fn spec() -> ProvisionerSpec {
 }
 
 fn batch_body(chunk: &[Update]) -> String {
-    let mut body = String::from("{\"updates\":[");
-    for (i, u) in chunk.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("[{},{}]", u.item, u.delta));
-    }
-    body.push_str("]}");
-    body
+    let mut w = JsonWriter::with_capacity(16 + 8 * chunk.len());
+    w.raw("{").key("updates").pairs(chunk).raw("}");
+    w.finish()
+}
+
+fn timed(one: impl FnOnce()) -> Duration {
+    let start = Instant::now();
+    one();
+    start.elapsed()
 }
 
 /// Runs `iterations` requests and returns per-request latencies.
-fn measure(iterations: usize, mut one: impl FnMut(usize)) -> Vec<Duration> {
-    let mut latencies = Vec::with_capacity(iterations);
-    for i in 0..iterations {
-        let start = Instant::now();
-        one(i);
-        latencies.push(start.elapsed());
-    }
-    latencies
+fn measure(iterations: usize, mut one: impl FnMut()) -> Vec<Duration> {
+    (0..iterations).map(|_| timed(&mut one)).collect()
 }
 
 struct Leg {
@@ -84,9 +84,16 @@ fn leg(id: &'static str, mut latencies: Vec<Duration>) -> Leg {
     }
 }
 
+fn post(addr: SocketAddr, body: &str) {
+    let (status, _) =
+        client::request(addr, "POST", "/tenants/bench/update", body).expect("update over the wire");
+    assert_eq!(status, 200);
+}
+
 fn main() {
     let updates = UniformGenerator::new(1 << 16, 7).take_updates(BATCHES * BATCH);
-    let chunks: Vec<String> = updates.chunks(BATCH).map(batch_body).collect();
+    let chunks: Vec<&[Update]> = updates.chunks(BATCH).collect();
+    let bodies: Vec<String> = chunks.iter().map(|chunk| batch_body(chunk)).collect();
 
     let handle = FleetServer::new(SessionManager::new())
         .spawn()
@@ -95,24 +102,47 @@ fn main() {
     let (status, body) = client::request(addr, "POST", "/tenants/bench", &spec().to_json())
         .expect("register over the wire");
     assert_eq!(status, 201, "{body}");
+    let mut manager = SessionManager::new();
+    manager.register_spec("bench", spec()).expect("register");
+    let mut ingest = |chunk: &[Update]| {
+        manager.update_batch("bench", chunk).expect("ingest");
+    };
 
-    // Warmup: populate the sketch and fault in the whole socket path.
-    for chunk in chunks.iter().take((BATCHES / 10).max(1)) {
-        client::request(addr, "POST", "/tenants/bench/update", chunk).expect("warmup update");
+    // Warmup: populate both sketches and fault in the whole socket path.
+    for (body, chunk) in bodies.iter().zip(&chunks).take((BATCHES / 10).max(1)) {
+        post(addr, body);
+        ingest(chunk);
     }
     client::request(addr, "GET", "/tenants/bench/query", "").expect("warmup query");
 
-    let update_leg = leg(
-        "http_update_batch",
-        measure(chunks.len(), |i| {
-            let (status, _) = client::request(addr, "POST", "/tenants/bench/update", &chunks[i])
-                .expect("update over the wire");
-            assert_eq!(status, 200);
-        }),
-    );
+    // Each batch on both tenants back to back, alternating which goes
+    // first.
+    let mut http = Vec::with_capacity(BATCHES);
+    let mut inproc = Vec::with_capacity(BATCHES);
+    for (i, (body, chunk)) in bodies.iter().zip(&chunks).enumerate() {
+        let (h, p) = if i % 2 == 0 {
+            let h = timed(|| post(addr, body));
+            (h, timed(|| ingest(chunk)))
+        } else {
+            let p = timed(|| ingest(chunk));
+            (timed(|| post(addr, body)), p)
+        };
+        http.push(h);
+        inproc.push(p);
+    }
+    let mut taxes: Vec<f64> = http
+        .iter()
+        .zip(&inproc)
+        .map(|(h, p)| h.as_secs_f64() / p.as_secs_f64().max(1e-9))
+        .collect();
+    taxes.sort_by(f64::total_cmp);
+    let inproc_total: Duration = inproc.iter().sum();
+    let inproc_batches_per_sec = BATCHES as f64 / inproc_total.as_secs_f64().max(1e-9);
+
+    let update_leg = leg("http_update_batch", http);
     let query_leg = leg(
         "http_query",
-        measure(QUERIES, |_| {
+        measure(QUERIES, || {
             let (status, _) =
                 client::request(addr, "GET", "/tenants/bench/query", "").expect("query");
             assert_eq!(status, 200);
@@ -120,23 +150,12 @@ fn main() {
     );
     let metrics_leg = leg(
         "http_metrics",
-        measure(QUERIES / 4, |_| {
+        measure(QUERIES / 4, || {
             let (status, _) = client::request(addr, "GET", "/metrics", "").expect("metrics");
             assert_eq!(status, 200);
         }),
     );
     handle.shutdown();
-
-    // The same workload through the manager directly: the wire tax is the
-    // ratio between this and the HTTP update leg.
-    let mut manager = SessionManager::new();
-    manager.register_spec("bench", spec()).expect("register");
-    let start = Instant::now();
-    for chunk in updates.chunks(BATCH) {
-        manager.update_batch("bench", chunk).expect("ingest");
-    }
-    let inproc = start.elapsed();
-    let inproc_batches_per_sec = (updates.len() / BATCH) as f64 / inproc.as_secs_f64().max(1e-9);
 
     let mut json = String::from("{\"bench\":\"serve_throughput\",\"batch\":");
     json.push_str(&BATCH.to_string());
@@ -153,8 +172,10 @@ fn main() {
     }
     json.push_str(&format!(
         "],\"inprocess_batches_per_sec\":{inproc_batches_per_sec:.1},\
-         \"wire_tax\":{:.2}}}",
-        inproc_batches_per_sec / update_leg.requests_per_sec.max(1e-9)
+         \"wire_tax\":{:.2},\"min_wire_tax\":{:.2},\"max_wire_tax\":{:.2}}}",
+        taxes[taxes.len() / 2],
+        taxes[0],
+        taxes[taxes.len() - 1]
     ));
     println!("{json}");
     if std::env::var("ARS_BENCH_NO_WRITE").is_err() {

@@ -20,8 +20,16 @@
 //! and are converted on demand — a flip budget of `usize::MAX - 1` does
 //! not survive a round trip through `f64`, so `as_usize` parses the
 //! integer token directly.
+//!
+//! One format is shared beyond single values: the **pair list**
+//! `[[item, delta], …]`, which carries update batches on the wire
+//! (`POST /tenants/{name}/update`) and exact frequency state in snapshots.
+//! [`JsonWriter::pairs`] writes it and [`JsonValue::as_pairs`] parses it;
+//! no other code knows its shape.
 
 use std::fmt;
+
+use ars_stream::Update;
 
 /// Appends `s` to `out` escaped per RFC 8259 (without the surrounding
 /// quotes). The one escaping loop behind every JSON string the workspace
@@ -122,6 +130,22 @@ impl JsonWriter {
         self
     }
 
+    /// Appends `updates` as a pair list `[[item, delta], …]`.
+    pub fn pairs(&mut self, updates: &[Update]) -> &mut Self {
+        self.raw("[");
+        for (i, update) in updates.iter().enumerate() {
+            if i > 0 {
+                self.raw(",");
+            }
+            self.raw("[")
+                .uint(update.item)
+                .raw(",")
+                .int(update.delta)
+                .raw("]");
+        }
+        self.raw("]")
+    }
+
     /// The JSON written so far.
     #[must_use]
     pub fn as_str(&self) -> &str {
@@ -176,6 +200,31 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Why a value is not a pair list (see [`JsonValue::as_pairs`]). The
+/// caller prefixes its own context, such as `update body` or
+/// `snapshot: tenant …`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairListError {
+    /// The value is not an array.
+    NotAnArray,
+    /// An entry is not a two-element array.
+    NotAPair,
+    /// An entry's item is not a `u64`, or its delta not an `i64`.
+    NonInteger,
+}
+
+impl fmt::Display for PairListError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::NotAnArray => "not an array of [item, delta] pairs",
+            Self::NotAPair => "entries must be [item, delta] pairs",
+            Self::NonInteger => "non-integer [item, delta] entry",
+        })
+    }
+}
+
+impl std::error::Error for PairListError {}
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -529,6 +578,22 @@ impl JsonValue {
     pub fn is_null(&self) -> bool {
         matches!(self, JsonValue::Null)
     }
+
+    /// The updates of a pair list `[[item, delta], …]`, the inverse of
+    /// [`JsonWriter::pairs`]. The first malformed entry is the error.
+    pub fn as_pairs(&self) -> Result<Vec<Update>, PairListError> {
+        let entries = self.items().ok_or(PairListError::NotAnArray)?;
+        entries
+            .iter()
+            .map(|entry| match entry.items() {
+                Some([item, delta]) => match (item.as_u64(), delta.as_i64()) {
+                    (Some(item), Some(delta)) => Ok(Update::new(item, delta)),
+                    _ => Err(PairListError::NonInteger),
+                },
+                _ => Err(PairListError::NotAPair),
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -669,5 +734,26 @@ mod tests {
     fn duplicate_keys_resolve_to_the_first() {
         let v = JsonValue::parse_strict("{\"a\":1,\"a\":2}").unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn pair_lists_round_trip_and_name_the_first_bad_entry() {
+        let updates = [Update::new(7, 1), Update::new(u64::MAX, -3)];
+        let mut w = JsonWriter::new();
+        w.pairs(&updates).raw(",").pairs(&[]);
+        assert_eq!(w.as_str(), "[[7,1],[18446744073709551615,-3]],[]");
+        let back = JsonValue::parse_strict("[[7,1],[18446744073709551615,-3]]").unwrap();
+        assert_eq!(back.as_pairs().unwrap(), updates);
+        for (bad, err) in [
+            ("{}", PairListError::NotAnArray),
+            ("[[1,1],[1]]", PairListError::NotAPair),
+            ("[[1,1,1]]", PairListError::NotAPair),
+            ("[7]", PairListError::NotAPair),
+            ("[[-1,1]]", PairListError::NonInteger),
+            ("[[1,0.5],[2]]", PairListError::NonInteger),
+        ] {
+            let value = JsonValue::parse_strict(bad).unwrap();
+            assert_eq!(value.as_pairs(), Err(err), "{bad}");
+        }
     }
 }

@@ -53,7 +53,7 @@
 //!   [`ars_stream::ValidationTier`] the model admits), and the
 //!   multi-tenant [`manager::SessionManager`] — named sessions, aggregate
 //!   health, JSON readings, automatic re-provisioning of budget-exhausted
-//!   estimators with a doubled λ.
+//!   estimators from the session's exact state.
 //!
 //! # Quickstart
 //!

@@ -10,13 +10,21 @@
 //! spendable budget; a serving system must therefore treat exhaustion as an
 //! operational event, not a terminal state. The manager's answer is the
 //! re-provisioning path: when a tenant's reading goes budget-exhausted, a
-//! fresh estimator is built with a **doubled λ** from the tenant's
-//! [`ProvisionerSpec`], the session's exact frequency state is replayed
-//! into it (one batch — at most one publication), and the estimator is
-//! swapped under the unchanged validator. Sessions on the stateless
-//! validation tier keep no exact state to replay; re-provisioning them
-//! fails with the typed [`ArsError::StateUnavailable`] — the documented
-//! price of the `O(1)` fast path.
+//! fresh estimator is built from the tenant's [`ProvisionerSpec`] with a
+//! doubled λ hint, the session's exact frequency state is replayed into it
+//! (one batch — at most one publication), and the estimator is swapped
+//! under the unchanged validator. Only a problem whose λ is an explicit
+//! promise (turnstile `F_p`) honours the hint; an analytic budget (`F₀`,
+//! `F_p`, entropy) is rebuilt at the same size with its flip accounting
+//! reset, and the λ reported is always the rebuilt estimator's own.
+//! Sessions on the stateless validation tier keep no exact state to
+//! replay; re-provisioning them fails with the typed
+//! [`ArsError::StateUnavailable`] — the documented price of the `O(1)`
+//! fast path.
+//!
+//! Registration, restore and re-provisioning get their estimator from one
+//! rebuild path, which builds the spec, opens its session and replays the
+//! given state through the session's model check.
 //!
 //! ```
 //! use ars_core::{ProblemSpec, ProvisionerSpec, SessionManager};
@@ -68,11 +76,39 @@ impl Tenant {
         }
     }
 
-    /// Rebuilds the estimator with a doubled flip budget from the session's
-    /// exact state. Returns the λ provisioned.
+    /// The one rebuild path: builds `spec` at the λ hint, opens its session
+    /// on [`ProvisionerSpec::model`] (with exact state unless the spec opted
+    /// out) and ingests `state` as one batch, so every replayed coordinate
+    /// is checked against the model and the engine publishes at most once.
+    /// Registration, restore and re-provisioning all go through here; it
+    /// touches no manager.
+    fn open(
+        spec: &ProvisionerSpec,
+        lambda: Option<usize>,
+        state: &[Update],
+    ) -> Result<StreamSession, ArsError> {
+        let mut session = StreamSession::new(spec.model(), spec.build(lambda)?);
+        if spec.exact_state {
+            session = session.with_exact_state();
+        }
+        session.update_batch(state)?;
+        Ok(session)
+    }
+
+    /// The health after an ingest, re-provisioning first if the budget is
+    /// spent. Best-effort: a stateless tenant keeps no state to replay, and
+    /// its degraded health is the signal.
+    fn heal(&mut self) -> Health {
+        if self.health() == Health::BudgetExhausted {
+            let _ = self.reprovision();
+        }
+        self.health()
+    }
+
+    /// Rebuilds the estimator from the session's exact state with a doubled
+    /// λ hint. Returns the flip budget the rebuilt estimator has.
     fn reprovision(&mut self) -> Result<usize, ArsError> {
-        let raw = self.session.estimator().flip_budget();
-        let lambda = match FlipBudget::from_raw(raw) {
+        let lambda = match FlipBudget::from_raw(self.session.estimator().flip_budget()) {
             // An unbounded budget never exhausts: there is no lambda to
             // double and nothing to recover from, and building at the
             // usize::MAX sentinel would size a pool by it.
@@ -97,14 +133,12 @@ impl Tenant {
         // linear or support-based sketch this reproduces the estimator
         // state the true stream would have left (the exact vector is a
         // sufficient statistic for the tracked quantity).
-        let replay: Vec<Update> = frequency.iter().map(|(i, c)| Update::new(i, c)).collect();
-        let mut fresh = self.spec.build(Some(lambda))?;
-        // One batch: the engine publishes at most once, so the rebuilt
-        // estimator starts with its doubled budget essentially unspent.
-        fresh.update_batch(&replay);
+        let replay: Vec<Update> = frequency.iter().map(Update::from).collect();
+        let fresh = Self::open(&self.spec, Some(lambda), &replay)?.into_estimator();
+        let provisioned = fresh.flip_budget();
         self.session.replace_estimator(fresh);
         self.reprovisions += 1;
-        Ok(lambda)
+        Ok(provisioned)
     }
 }
 
@@ -121,7 +155,8 @@ pub struct TenantHealth {
     pub rejected: usize,
     /// Batch-suffix updates dropped behind a refusal.
     pub dropped: usize,
-    /// Times the estimator has been re-provisioned with a doubled λ.
+    /// Times the estimator has been re-provisioned (rebuilt from exact state
+    /// with a doubled λ hint).
     pub reprovisions: usize,
     /// Times the published output has changed — the spent part of the flip
     /// budget.
@@ -166,11 +201,7 @@ impl SessionManager {
         name: impl Into<String>,
         spec: ProvisionerSpec,
     ) -> Result<Option<StreamSession>, ArsError> {
-        let estimator = spec.build(None)?;
-        let mut session = StreamSession::new(spec.model(), estimator);
-        if spec.exact_state {
-            session = session.with_exact_state();
-        }
+        let session = Tenant::open(&spec, None, &[])?;
         Ok(self
             .tenants
             .insert(
@@ -232,30 +263,22 @@ impl SessionManager {
     /// [`ArsError::Stream`] exactly as on the session itself; on success
     /// the tenant's health after the update is returned — and if that
     /// health is [`Health::BudgetExhausted`], the estimator is rebuilt
-    /// first (λ doubled, state replayed) and the post-rebuild health
-    /// returned. A tenant whose tier keeps no exact state cannot be
-    /// auto-rebuilt; it stays degraded and reports `BudgetExhausted`.
+    /// first (state replayed) and the post-rebuild health returned. A
+    /// tenant whose tier keeps no exact state cannot be auto-rebuilt; it
+    /// stays degraded and reports `BudgetExhausted`.
     pub fn update(&mut self, name: &str, update: Update) -> Result<Health, ArsError> {
         let tenant = self.tenant_mut(name)?;
         tenant.session.update(update)?;
-        if tenant.health() == Health::BudgetExhausted {
-            // Best-effort: a stateless tenant keeps no state to replay;
-            // the degraded health below is the signal.
-            let _ = tenant.reprovision();
-        }
-        Ok(tenant.health())
+        Ok(tenant.heal())
     }
 
     /// Routes a batch to the named tenant through the session's amortized
-    /// hot path, with the same auto-re-provisioning contract as
-    /// [`SessionManager::update`]. Returns the number of updates ingested.
-    pub fn update_batch(&mut self, name: &str, updates: &[Update]) -> Result<usize, ArsError> {
+    /// hot path, with the same auto-re-provisioning contract and the same
+    /// post-batch health as [`SessionManager::update`].
+    pub fn update_batch(&mut self, name: &str, updates: &[Update]) -> Result<Health, ArsError> {
         let tenant = self.tenant_mut(name)?;
-        let ingested = tenant.session.update_batch(updates)?;
-        if tenant.health() == Health::BudgetExhausted {
-            let _ = tenant.reprovision();
-        }
-        Ok(ingested)
+        tenant.session.update_batch(updates)?;
+        Ok(tenant.heal())
     }
 
     /// The named tenant's current typed reading.
@@ -268,8 +291,10 @@ impl SessionManager {
             })
     }
 
-    /// Manually re-provisions the named tenant: doubled λ, exact state
-    /// replayed, estimator swapped. Returns the λ provisioned. Fails with
+    /// Manually re-provisions the named tenant: rebuilt with a doubled λ
+    /// hint, exact state replayed, estimator swapped. Returns the flip
+    /// budget the rebuilt estimator has, which stays the same for an
+    /// analytic budget that ignores the hint. Fails with
     /// [`ArsError::StateUnavailable`] when the tenant's validation tier
     /// keeps no exact state, [`ArsError::UnknownSession`] for unknown
     /// names, and with the spec's own build error if it cannot be built at
@@ -390,16 +415,9 @@ impl SessionManager {
                 .key("frequency");
             match tenant.session.frequency() {
                 Some(frequency) => {
-                    let mut coords: Vec<(u64, i64)> = frequency.iter().collect();
-                    coords.sort_unstable();
-                    w.raw("[");
-                    for (j, (item, count)) in coords.into_iter().enumerate() {
-                        if j > 0 {
-                            w.raw(",");
-                        }
-                        w.raw("[").uint(item).raw(",").int(count).raw("]");
-                    }
-                    w.raw("]");
+                    let mut coords: Vec<Update> = frequency.iter().map(Update::from).collect();
+                    coords.sort_unstable_by_key(|u| u.item);
+                    w.pairs(&coords);
                 }
                 None => {
                     w.null();
@@ -482,56 +500,27 @@ impl SessionManager {
                 .and_then(JsonValue::as_usize)
                 .unwrap_or(0);
 
+            let replay = match row.get("frequency") {
+                Some(JsonValue::Null) | None => Vec::new(),
+                Some(node) => node.as_pairs().map_err(|err| {
+                    wire(format!("snapshot: tenant {name:?}: \"frequency\": {err}"))
+                })?,
+            };
             // Rebuild at the snapshotted budget, not the spec's base one:
             // a re-provisioned tenant keeps its doubled λ across restore.
+            // The replay's one publication is overwritten by the anchor
+            // restore below.
             let hint = match FlipBudget::from_raw(lambda) {
                 FlipBudget::Bounded(l) => Some(l),
                 FlipBudget::Unbounded => None,
             };
-            let estimator = spec
-                .build(hint)
-                .map_err(|err| wire(format!("snapshot: tenant {name:?}: {err}")))?;
-            let mut session = StreamSession::new(spec.model(), estimator);
-            if spec.exact_state {
-                session = session.with_exact_state();
-            }
-            match row.get("frequency") {
-                Some(JsonValue::Null) | None => {}
-                Some(node) => {
-                    let coords = node.items().ok_or_else(|| {
-                        wire(format!(
-                            "snapshot: tenant {name:?}: \"frequency\" is not an array"
-                        ))
-                    })?;
-                    let mut replay = Vec::with_capacity(coords.len());
-                    for coord in coords {
-                        let pair = coord.items().filter(|p| p.len() == 2).ok_or_else(|| {
-                            wire(format!(
-                                "snapshot: tenant {name:?}: frequency entries must be \
-                                 [item, count] pairs"
-                            ))
-                        })?;
-                        let item = pair[0].as_u64();
-                        let count = pair[1].as_i64();
-                        match (item, count) {
-                            (Some(item), Some(count)) => replay.push(Update::new(item, count)),
-                            _ => {
-                                return Err(wire(format!(
-                                    "snapshot: tenant {name:?}: non-integer frequency entry"
-                                )))
-                            }
-                        }
-                    }
-                    // One batch — at most one publication, which the anchor
-                    // restore below overwrites anyway.
-                    session.update_batch(&replay).map_err(|err| {
-                        wire(format!(
-                            "snapshot: tenant {name:?}: frequency replay violates the \
-                             spec's stream model: {err}"
-                        ))
-                    })?;
-                }
-            }
+            let mut session = Tenant::open(&spec, hint, &replay).map_err(|err| match err {
+                ArsError::Stream(_) => wire(format!(
+                    "snapshot: tenant {name:?}: frequency replay violates the spec's stream \
+                     model: {err}"
+                )),
+                err => wire(format!("snapshot: tenant {name:?}: {err}")),
+            })?;
             // Hand the publication accounting back so restored readings
             // reproduce the snapshot bitwise (a no-op on estimators without
             // the seam, which fall back to the replay-derived publication).
@@ -624,7 +613,10 @@ mod tests {
     fn batch_routing_uses_the_session_hot_path() {
         let mut manager = manager_with_f0("bulk");
         let batch: Vec<Update> = (0..2_048u64).map(|i| Update::insert(i % 400)).collect();
-        assert_eq!(manager.update_batch("bulk", &batch).unwrap(), 2_048);
+        assert_eq!(
+            manager.update_batch("bulk", &batch).unwrap(),
+            Health::WithinGuarantee
+        );
         let reading = manager.query("bulk").unwrap();
         assert!((reading.value - 400.0).abs() <= 0.25 * 400.0, "{reading}");
     }
@@ -878,6 +870,28 @@ mod tests {
                  \"epsilon\":0.2}}]}",
                 "lambda",
             ),
+            // The pair codec's three refusals, and a replay the model
+            // check refuses: an F0 tenant's state cannot hold a deletion.
+            (
+                "{\"version\":1,\"tenants\":[{\"name\":\"x\",\"spec\":{\"problem\":\"f0\",\
+                 \"epsilon\":0.2},\"lambda\":4,\"frequency\":{}}]}",
+                "not an array",
+            ),
+            (
+                "{\"version\":1,\"tenants\":[{\"name\":\"x\",\"spec\":{\"problem\":\"f0\",\
+                 \"epsilon\":0.2},\"lambda\":4,\"frequency\":[[1]]}]}",
+                "[item, delta] pairs",
+            ),
+            (
+                "{\"version\":1,\"tenants\":[{\"name\":\"x\",\"spec\":{\"problem\":\"f0\",\
+                 \"epsilon\":0.2},\"lambda\":4,\"frequency\":[[1,\"a\"]]}]}",
+                "non-integer",
+            ),
+            (
+                "{\"version\":1,\"tenants\":[{\"name\":\"x\",\"spec\":{\"problem\":\"f0\",\
+                 \"epsilon\":0.2},\"lambda\":4,\"frequency\":[[1,-1]]}]}",
+                "stream model",
+            ),
         ] {
             match manager.restore_json(snapshot) {
                 Err(ArsError::Wire { reason }) => {
@@ -886,8 +900,8 @@ mod tests {
                 other => panic!("{snapshot}: expected Wire, got {other:?}"),
             }
             assert_eq!(
-                manager.len(),
-                1,
+                manager.names(),
+                vec!["keep"],
                 "manager must be unchanged after {snapshot}"
             );
         }
@@ -911,5 +925,40 @@ mod tests {
             "replayed reading {after} lost the state (before: {before})"
         );
         assert_eq!(manager.health_report()[0].reprovisions, 1);
+    }
+
+    #[test]
+    fn reprovision_reports_the_budget_the_tenant_has() {
+        // F0's budget is analytic: the doubled hint is ignored, so the
+        // rebuilt pool has the budget the tenant started with. The turnstile
+        // route honours the hint. Either way the returned λ is the one the
+        // health report shows.
+        let turnstile = ProvisionerSpec::new(ProblemSpec::TurnstileFp { p: 2.0, lambda: 3 }, 0.25)
+            .stream_length(20_000)
+            .domain(1 << 10)
+            .max_frequency(64)
+            .seed(23);
+        let mut manager = SessionManager::new();
+        manager.register_spec("distinct", f0_spec()).unwrap();
+        manager.register_spec("waves", turnstile).unwrap();
+        for i in 0..300u64 {
+            manager.update("distinct", Update::insert(i)).unwrap();
+            manager.update("waves", Update::insert(i % 7)).unwrap();
+        }
+        let before = manager.health_report();
+        for (row, name) in before.iter().zip(["distinct", "waves"]) {
+            let lambda = manager.reprovision(name).unwrap();
+            let after = manager
+                .health_report()
+                .into_iter()
+                .find(|r| r.name == name)
+                .unwrap();
+            assert_eq!(after.flip_budget, FlipBudget::Bounded(lambda), "{name}");
+            let FlipBudget::Bounded(old) = row.flip_budget else {
+                panic!("{name}: unbounded budget");
+            };
+            let expected = if name == "waves" { 2 * old } else { old };
+            assert_eq!(lambda, expected, "{name}");
+        }
     }
 }

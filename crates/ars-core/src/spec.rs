@@ -339,9 +339,10 @@ impl ProvisionerSpec {
     /// Parses a spec serialized by [`ProvisionerSpec::to_json`]. Only
     /// `problem` and `epsilon` (plus the problem's own parameters) are
     /// required; omitted knobs take the builder defaults, so a minimal
-    /// registration body is `{"problem":"f0","epsilon":0.2}`.
+    /// registration body is `{"problem":"f0","epsilon":0.2}`. The text
+    /// must be exactly one JSON value: trailing content is refused.
     pub fn try_from_json(text: &str) -> Result<Self, ArsError> {
-        let doc = JsonValue::parse(text).map_err(|err| ArsError::Wire {
+        let doc = JsonValue::parse_strict(text).map_err(|err| ArsError::Wire {
             reason: format!("provisioner spec: {err}"),
         })?;
         Self::from_value(&doc)
@@ -497,6 +498,10 @@ mod tests {
             ),
             ("{\"problem\":\"f0\"}", "epsilon"),
             ("not json", "provisioner spec"),
+            (
+                "{\"problem\":\"f0\",\"epsilon\":0.2} junk",
+                "trailing content",
+            ),
         ] {
             match ProvisionerSpec::try_from_json(body) {
                 Err(ArsError::Wire { reason }) => {

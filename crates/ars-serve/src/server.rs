@@ -45,7 +45,7 @@
 //! | `POST` | `/tenants/{name}` | provisioner spec JSON | 201, registration echo |
 //! | `POST` | `/tenants/{name}/update` | `{"item":i,"delta":d}` or `{"updates":[[i,d],…]}` | 200, ingestion receipt |
 //! | `GET` | `/tenants/{name}/query` | — | 200, [`ars_core::estimate::Estimate::to_json`] verbatim |
-//! | `POST` | `/tenants/{name}/reprovision` | — | 200, the λ provisioned |
+//! | `POST` | `/tenants/{name}/reprovision` | — | 200, the rebuilt estimator's λ |
 //! | `DELETE` | `/tenants/{name}` | — | 200 |
 //! | `GET` | `/health` | — | 200/503, fleet health + embedded readings |
 //! | `GET` | `/metrics` | — | 200, Prometheus text format |
@@ -366,7 +366,11 @@ fn serve_connection(
                 let (route, response) = route_request(&request, manager, metrics);
                 (route, response, request.keep_alive)
             }
-            Err(err) => ("(malformed)", wire_error_response(&err), false),
+            Err(err) => (
+                "(malformed)",
+                error_envelope(err.status(), "http", err.reason()),
+                false,
+            ),
         };
         if !wants_keep_alive {
             slot = None;
@@ -381,21 +385,23 @@ fn serve_connection(
     }
 }
 
-fn wire_error_response(err: &HttpError) -> Response {
+/// The one error body every failure carries:
+/// `{"error":{"kind":…,"message":…,"status":…}}`.
+fn error_envelope(status: u16, kind: &str, message: &str) -> Response {
     let mut w = JsonWriter::with_capacity(128);
     w.raw("{")
         .key("error")
         .raw("{")
         .key("kind")
-        .string("http")
+        .string(kind)
         .raw(",")
         .key("message")
-        .string(err.reason())
+        .string(message)
         .raw(",")
         .key("status")
-        .uint(u64::from(err.status()))
+        .uint(u64::from(status))
         .raw("}}");
-    Response::json(err.status(), w.finish())
+    Response::json(status, w.finish())
 }
 
 /// Maps a typed core error onto (status, kind).
@@ -412,54 +418,15 @@ fn status_for(err: &ArsError) -> (u16, &'static str) {
 
 fn error_response(err: &ArsError) -> Response {
     let (status, kind) = status_for(err);
-    let mut w = JsonWriter::with_capacity(160);
-    w.raw("{")
-        .key("error")
-        .raw("{")
-        .key("kind")
-        .string(kind)
-        .raw(",")
-        .key("message")
-        .string(&err.to_string())
-        .raw(",")
-        .key("status")
-        .uint(u64::from(status))
-        .raw("}}");
-    Response::json(status, w.finish())
-}
-
-fn not_found(target: &str) -> Response {
-    let mut w = JsonWriter::with_capacity(96);
-    w.raw("{")
-        .key("error")
-        .raw("{")
-        .key("kind")
-        .string("not-found")
-        .raw(",")
-        .key("message")
-        .string(&format!("no route for {target}"))
-        .raw(",")
-        .key("status")
-        .uint(404)
-        .raw("}}");
-    Response::json(404, w.finish())
+    error_envelope(status, kind, &err.to_string())
 }
 
 fn method_not_allowed(method: &str, route: &str) -> Response {
-    let mut w = JsonWriter::with_capacity(96);
-    w.raw("{")
-        .key("error")
-        .raw("{")
-        .key("kind")
-        .string("method-not-allowed")
-        .raw(",")
-        .key("message")
-        .string(&format!("{method} is not supported on {route}"))
-        .raw(",")
-        .key("status")
-        .uint(405)
-        .raw("}}");
-    Response::json(405, w.finish())
+    error_envelope(
+        405,
+        "method-not-allowed",
+        &format!("{method} is not supported on {route}"),
+    )
 }
 
 /// Routes one parsed request. Returns the normalized route label (for
@@ -528,7 +495,14 @@ pub(crate) fn route_request(
                 method_not_allowed(method, "/tenants/{name}/reprovision"),
             ),
         },
-        _ => ("(unrouted)", not_found(&request.target)),
+        _ => (
+            "(unrouted)",
+            error_envelope(
+                404,
+                "not-found",
+                &format!("no route for {}", request.target),
+            ),
+        ),
     }
 }
 
@@ -667,20 +641,9 @@ fn parse_updates(body: &str) -> Result<Vec<Update>, ArsError> {
     }
     let doc = JsonValue::parse_strict(body).map_err(|err| wire(format!("update body: {err}")))?;
     if let Some(batch) = doc.get("updates") {
-        let rows = batch
-            .items()
-            .ok_or_else(|| wire("update body: \"updates\" must be an array".to_string()))?;
-        let mut updates = Vec::with_capacity(rows.len());
-        for row in rows {
-            let pair = row.items().filter(|p| p.len() == 2).ok_or_else(|| {
-                wire("update body: batch entries must be [item, delta] pairs".to_string())
-            })?;
-            match (pair[0].as_u64(), pair[1].as_i64()) {
-                (Some(item), Some(delta)) => updates.push(Update::new(item, delta)),
-                _ => return Err(wire("update body: non-integer batch entry".to_string())),
-            }
-        }
-        Ok(updates)
+        batch
+            .as_pairs()
+            .map_err(|err| wire(format!("update body: \"updates\": {err}")))
     } else {
         let item = doc
             .get("item")
@@ -701,22 +664,16 @@ fn update(manager: &Arc<Mutex<SessionManager>>, name: &str, body: &str) -> Respo
         Ok(updates) => updates,
         Err(err) => return error_response(&err),
     };
-    let mut guard = lock(manager);
-    match guard.update_batch(name, &updates) {
-        Ok(ingested) => {
-            let health = guard
-                .health_report()
-                .into_iter()
-                .find(|row| row.name == name)
-                .map(|row| row.health.to_string())
-                .unwrap_or_else(|| "unknown".to_string());
+    let result = lock(manager).update_batch(name, &updates);
+    match result {
+        Ok(health) => {
             let mut w = JsonWriter::with_capacity(96);
             w.raw("{")
                 .key("ingested")
-                .uint(ingested as u64)
+                .uint(updates.len() as u64)
                 .raw(",")
                 .key("health")
-                .string(&health)
+                .string(&health.to_string())
                 .raw("}");
             Response::json(200, w.finish())
         }

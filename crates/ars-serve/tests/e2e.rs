@@ -3,6 +3,7 @@
 //! the manager re-provisions, snapshot the fleet, restore it into a fresh
 //! server, and check the restored tenant answers bitwise-identically.
 
+use ars_core::json::JsonWriter;
 use ars_core::manager::SessionManager;
 use ars_core::spec::{ProblemSpec, ProvisionerSpec};
 use ars_serve::client;
@@ -40,15 +41,10 @@ fn register_exhaust_reprovision_snapshot_restore_over_http() {
     // re-provisioned at least once (λ doubled past the initial hint).
     let updates = TurnstileWaveGenerator::new(400).take_updates(6_000);
     for chunk in updates.chunks(500) {
-        let mut body = String::from("{\"updates\":[");
-        for (i, u) in chunk.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("[{},{}]", u.item, u.delta));
-        }
-        body.push_str("]}");
-        let (status, body) = client::request(addr, "POST", "/tenants/wave/update", &body).unwrap();
+        let mut body = JsonWriter::new();
+        body.raw("{").key("updates").pairs(chunk).raw("}");
+        let (status, body) =
+            client::request(addr, "POST", "/tenants/wave/update", body.as_str()).unwrap();
         assert_eq!(status, 200, "{body}");
     }
 

@@ -237,6 +237,35 @@ fn malformed_wire_input_is_a_typed_4xx_never_a_panic() {
 }
 
 #[test]
+fn a_malformed_pair_list_is_a_wire_error_in_updates_and_snapshots() {
+    // Update batches and snapshot frequency state share one pair-list
+    // codec, so one malformed list fails the same way in both bodies.
+    let handle = FleetServer::new(SessionManager::new())
+        .spawn()
+        .expect("spawn");
+    let addr = handle.addr();
+    let spec = r#"{"problem":"f0","epsilon":0.25}"#;
+    let (status, body) = client::request(addr, "POST", "/tenants/edge", spec).unwrap();
+    assert_eq!(status, 201, "{body}");
+
+    for pairs in ["{}", "[[1]]", r#"[[1,"a"]]"#] {
+        let update = format!(r#"{{"updates":{pairs}}}"#);
+        let snapshot = format!(
+            r#"{{"version":1,"tenants":[{{"name":"edge","spec":{spec},"lambda":4,"frequency":{pairs}}}]}}"#
+        );
+        for (path, body) in [("/tenants/edge/update", update), ("/restore", snapshot)] {
+            let (status, response) = client::request(addr, "POST", path, &body).unwrap();
+            assert_eq!(status, 400, "{path} with {pairs}: {response}");
+            assert!(
+                response.contains("\"kind\":\"wire\""),
+                "{path} with {pairs}: {response}"
+            );
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn tenant_listing_enumerates_the_fleet_in_sorted_order() {
     let handle = FleetServer::new(SessionManager::new())
         .spawn()

@@ -192,18 +192,7 @@ impl Backend for HttpBackend {
     fn update_batch(&self, name: &str, updates: &[Update]) -> Result<(), BackendError> {
         let path = format!("/tenants/{}/update", client::encode_segment(name));
         let mut w = JsonWriter::with_capacity(16 + 8 * updates.len());
-        w.raw("{").key("updates").raw("[");
-        for (i, update) in updates.iter().enumerate() {
-            if i > 0 {
-                w.raw(",");
-            }
-            w.raw("[")
-                .uint(update.item)
-                .raw(",")
-                .int(update.delta)
-                .raw("]");
-        }
-        w.raw("]").raw("}");
+        w.raw("{").key("updates").pairs(updates).raw("}");
         let (status, body) = self.call("POST", &path, &w.finish())?;
         if status == 200 {
             Ok(())

@@ -9,6 +9,7 @@
 //!
 //! [`FleetServer`]: adversarial_robust_streaming::serve::FleetServer
 
+use adversarial_robust_streaming::robust::json::JsonWriter;
 use adversarial_robust_streaming::robust::spec::{ProblemSpec, ProvisionerSpec};
 use adversarial_robust_streaming::robust::SessionManager;
 use adversarial_robust_streaming::serve::{client, FleetServer};
@@ -91,15 +92,9 @@ fn post_batches(
 ) {
     let path = format!("/tenants/{encoded}/update");
     for chunk in updates.chunks(500) {
-        let mut body = String::from("{\"updates\":[");
-        for (i, u) in chunk.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("[{},{}]", u.item, u.delta));
-        }
-        body.push_str("]}");
-        let (status, response) = client::request(addr, "POST", &path, &body).unwrap();
+        let mut body = JsonWriter::new();
+        body.raw("{").key("updates").pairs(chunk).raw("}");
+        let (status, response) = client::request(addr, "POST", &path, body.as_str()).unwrap();
         assert_eq!(status, 200, "{response}");
     }
 }
