@@ -5,7 +5,9 @@
 //! (which for sketch-switching pools means a median computation over the
 //! active copy) to one per batch instead of one per update; this bench
 //! quantifies the win on robust `F₀` and `F_p` and writes the repo's
-//! BENCH_batch_throughput.json trajectory point.
+//! BENCH_batch_throughput.json trajectory point. Robust `F₂` also runs at
+//! batch 4, the batch perfbench's `fp2-exhaust` tenants send, where the
+//! p = 2 sketch's counting kernel works on four-update chunks.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -19,6 +21,9 @@ const STREAM: usize = 4_096;
 /// F0 pool, so the Fp leg uses a shorter stream to keep the bench quick.
 const FP_STREAM: usize = 1_024;
 const BATCH: usize = 256;
+/// The batch the `F₂` tenants of perfbench's `fp2-exhaust` fleet send
+/// (`perfbench/fleets/fp2.json`).
+const FLEET_FP_BATCH: usize = 4;
 
 /// The exact-vs-tiered validation leg: a bounded-deletion stream wide
 /// enough that the pre-tiered `O(m·distinct)` validator visibly dominates.
@@ -147,24 +152,29 @@ fn bench_batching(c: &mut Criterion) {
         );
     });
 
-    group.bench_function("robust_fp2/update_batch", |b| {
-        b.iter_batched(
-            || {
-                RobustBuilder::new(0.3)
-                    .stream_length(FP_STREAM as u64)
-                    .domain(1 << 12)
-                    .seed(9)
-                    .fp(2.0)
-            },
-            |mut robust| {
-                for chunk in fp_stream.chunks(BATCH) {
-                    robust.update_batch(chunk);
-                }
-                robust
-            },
-            BatchSize::SmallInput,
-        );
-    });
+    for (id, batch) in [
+        ("robust_fp2/update_batch", BATCH),
+        ("robust_fp2/update_batch_4", FLEET_FP_BATCH),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || {
+                    RobustBuilder::new(0.3)
+                        .stream_length(FP_STREAM as u64)
+                        .domain(1 << 12)
+                        .seed(9)
+                        .fp(2.0)
+                },
+                |mut robust| {
+                    for chunk in fp_stream.chunks(batch) {
+                        robust.update_batch(chunk);
+                    }
+                    robust
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
 
     group.finish();
 
@@ -252,28 +262,25 @@ fn bench_batching(c: &mut Criterion) {
         ));
     }
     json.push_str("],\"speedup\":{");
-    for (i, pair) in [
-        ("robust_f0", "robust_update_path/robust_f0"),
-        ("robust_f0_dp", "robust_update_path/robust_f0_dp"),
-        ("robust_fp2", "robust_update_path/robust_fp2"),
+    for (i, (key, estimator, batched)) in [
+        ("robust_f0", "robust_f0", "update_batch"),
+        ("robust_f0_dp", "robust_f0_dp", "update_batch"),
+        ("robust_fp2", "robust_fp2", "update_batch"),
+        ("robust_fp2_batch_4", "robust_fp2", "update_batch_4"),
     ]
-    .iter()
+    .into_iter()
     .enumerate()
     {
-        let per = c
-            .results
-            .iter()
-            .find(|s| s.id == format!("{}/per_update", pair.1));
-        let batch = c
-            .results
-            .iter()
-            .find(|s| s.id == format!("{}/update_batch", pair.1));
-        if let (Some(per), Some(batch)) = (per, batch) {
+        let find = |leg: &str| {
+            let id = format!("robust_update_path/{estimator}/{leg}");
+            c.results.iter().find(|s| s.id == id)
+        };
+        if let (Some(per), Some(batch)) = (find("per_update"), find(batched)) {
             if i > 0 {
                 json.push(',');
             }
             let speedup = per.median.as_nanos() as f64 / batch.median.as_nanos().max(1) as f64;
-            json.push_str(&format!("\"{}\":{speedup:.2}", pair.0));
+            json.push_str(&format!("\"{key}\":{speedup:.2}"));
         }
     }
     json.push_str("},\"validation\":{");

@@ -68,9 +68,12 @@ pub struct PublicationState {
     /// Output changes spent so far against the budget.
     pub flips: usize,
     /// The provisioned flip budget λ, raw (`usize::MAX` = unbounded). Kept
-    /// here because re-provisioning doubles λ in place: a snapshot taken
-    /// after a rebuild must restore the doubled budget, not the spec's
-    /// original one.
+    /// here because a rebuilt estimator's λ can differ from its spec's:
+    /// re-provisioning passes a doubled λ hint, which a problem whose λ is
+    /// an explicit promise (turnstile `F_p`) honours, so a snapshot taken
+    /// after such a rebuild must restore the doubled budget, not the
+    /// spec's original one. An analytic budget (`F₀`, `F_p`, entropy)
+    /// ignores the hint and is rebuilt at the same λ.
     pub lambda: usize,
 }
 

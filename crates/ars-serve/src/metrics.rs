@@ -2,11 +2,12 @@
 //!
 //! Hand-rolled like the rest of the repo's wire formats: the registry
 //! keeps request/response counters and a fixed-bucket latency histogram
-//! behind one mutex, a lock-free connection counter beside them, and [`MetricsRegistry::render`] emits the text
-//! exposition format (`# HELP`/`# TYPE` plus samples) with per-tenant
-//! gauges derived from the live [`ars_core::manager::SessionManager`]
-//! health report — flip ledger and budget, re-provision count, accepted
-//! updates, space, tier.
+//! behind one mutex, a lock-free connection counter beside them, and
+//! [`MetricsRegistry::render`] emits the text exposition format
+//! (`# HELP`/`# TYPE` plus samples) with per-tenant series (counters for
+//! the `_total` ones, gauges otherwise) derived from the live
+//! [`ars_core::manager::SessionManager`] health report — flip ledger and
+//! budget, re-provision count, accepted updates, space, tier.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,14 +137,14 @@ impl MetricsRegistry {
         out.push_str("# HELP ars_tenants Registered tenants.\n# TYPE ars_tenants gauge\n");
         out.push_str(&format!("ars_tenants {}\n", report.len()));
 
-        gauge_block(
+        tenant_block(
             &mut out,
             "ars_tenant_flips_used",
             "Times the tenant's published output has changed (spent flip budget).",
             report,
             |row| row.flips_used.to_string(),
         );
-        gauge_block(
+        tenant_block(
             &mut out,
             "ars_tenant_flip_budget",
             "The tenant's provisioned flip budget (+Inf when unbounded).",
@@ -153,28 +154,29 @@ impl MetricsRegistry {
                 FlipBudget::Unbounded => "+Inf".to_string(),
             },
         );
-        gauge_block(
+        tenant_block(
             &mut out,
             "ars_tenant_reprovisions_total",
-            "Times the tenant's estimator was rebuilt with a doubled budget.",
+            "Times the tenant's estimator was rebuilt from its exact state \
+             (a doubled flip budget only for turnstile F_p).",
             report,
             |row| row.reprovisions.to_string(),
         );
-        gauge_block(
+        tenant_block(
             &mut out,
             "ars_tenant_updates_accepted_total",
             "Updates accepted and ingested.",
             report,
             |row| row.accepted.to_string(),
         );
-        gauge_block(
+        tenant_block(
             &mut out,
             "ars_tenant_updates_rejected_total",
             "Updates refused by the model validator.",
             report,
             |row| (row.rejected + row.dropped).to_string(),
         );
-        gauge_block(
+        tenant_block(
             &mut out,
             "ars_tenant_space_bytes",
             "End-to-end memory: sketch plus validator state.",
@@ -198,14 +200,21 @@ impl MetricsRegistry {
     }
 }
 
-fn gauge_block(
+/// One per-tenant series; its Prometheus type is `counter` for a `_total`
+/// name and `gauge` otherwise.
+fn tenant_block(
     out: &mut String,
     name: &str,
     help: &str,
     report: &[TenantHealth],
     value: impl Fn(&TenantHealth) -> String,
 ) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
     for row in report {
         out.push_str(&format!(
             "{name}{{tenant=\"{}\"}} {}\n",
@@ -273,6 +282,12 @@ mod tests {
             "ars_tenant_updates_rejected_total{tenant=\"edge-us\"} 3",
             "ars_tenant_space_bytes{tenant=\"edge-us\"} 4096",
             "ars_tenant_info{tenant=\"edge-us\",tier=\"incremental\",health=\"within-guarantee\"} 1",
+            "# TYPE ars_tenant_flips_used gauge\n",
+            "# TYPE ars_tenant_flip_budget gauge\n",
+            "# TYPE ars_tenant_reprovisions_total counter\n",
+            "# TYPE ars_tenant_updates_accepted_total counter\n",
+            "# TYPE ars_tenant_updates_rejected_total counter\n",
+            "# TYPE ars_tenant_space_bytes gauge\n",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

@@ -56,7 +56,53 @@
 //! to be reconsidered. `tests::two_item_streams_never_cancel` pins that
 //! failure mode: it fails when the kernel is swapped for the one-row
 //! bucketed form.
+//!
+//! # The p = 2 batch kernel: count sign bits, add once per row
+//!
+//! [`Estimator::update_batch`] splits a batch into runs of `Δ = ±1`
+//! updates, at most 64 to a chunk, and absorbs each run of two or more by
+//! counting instead of adding signs row by row:
+//!
+//! 1. **Hash once per (update, group).** For group `g`, every key
+//!    `item·φ + g` of the chunk is hashed before any value is used, so the
+//!    Horner chains of the chunk overlap. The 4-wise polynomial is held
+//!    inline as four coefficients, drawn in the order
+//!    `KWiseHash::from_rng(4, ..)` draws them, so the values are that
+//!    family's.
+//! 2. **Count.** Row `60g + b` adds `−Δ` where bit `b` of the hash is set
+//!    and `+Δ` elsewhere. For `Δ = −1` that is `+1` where the bit of the
+//!    *complemented* hash is set and `−1` elsewhere, so a −1 update counts
+//!    the complement of its hash and every update counts alike: a row
+//!    with `k` counted bits over a chunk of `n` updates moves by
+//!    `n − 2k` (which equals `Σ Δ − 2(k⁺ − k⁻)` with `k⁺`, `k⁻` the
+//!    set bits of the +1 and the −1 updates). The counts live in 8 words
+//!    of 8 byte lanes, `lanes[b] += (s >> b) & 0x0101_0101_0101_0101`, so
+//!    byte `L` of `lanes[b]` counts bit `8L + b`, the bit of row
+//!    `60g + 8L + b`. A byte holds up to 255 and a chunk has at most 64
+//!    updates, so no lane overflows.
+//! 3. **Add once per row.** Each row of the group then adds its `n − 2k`
+//!    once per chunk: 60 additions per group instead of `60·n`.
+//!
+//! *Why the bits match the per-row loop.* Both paths add integers to
+//! integers. While `Σ|Δ|` over the whole stream is at most `2⁵³`, every
+//! counter and every partial sum is an integer of magnitude at most
+//! `2⁵³`, which an `f64` holds exactly, so every addition is exact and
+//! the counter is the exact integer sum whatever the grouping. A zero sum
+//! is `+0.0` both ways: round-to-nearest gives `+0.0` for `x + (−x)`, a
+//! counter starts at `+0.0`, and only `−0.0 + −0.0` is `−0.0`. The sketch
+//! keeps that running `Σ|Δ|` (saturating) and counts a chunk only while
+//! the chunk keeps it at or below `2⁵³`.
+//!
+//! *When the per-row loop runs.* [`Estimator::update`], a lone unit update
+//! between non-unit ones, every update with `|Δ| ≠ 1` (the frequency
+//! counts that restore and re-provisioning replay) and every update once
+//! `Σ|Δ|` would pass `2⁵³` take the per-row loop, in stream order. On a
+//! one-update chunk counting is the slower of the two, since it pays the
+//! lane steps on top of one addition per row: at 461 rows on a 2-core
+//! x86-64 host, 650–680 ns per update against the per-row loop's
+//! 450–560 ns.
 
+use ars_hash::field::{reduce, MERSENNE_P};
 use ars_hash::KWiseHash;
 use ars_stream::Update;
 use rand::rngs::StdRng;
@@ -142,18 +188,49 @@ fn median_abs_pstable(p: f64) -> f64 {
 /// docs for why their signs may come from the bits of one value).
 const SIGNS_PER_HASH: usize = 60;
 
+/// The most updates one counting chunk absorbs. A byte lane counts at most
+/// this many set bits, so it must stay below 256.
+const CHUNK: usize = 64;
+
+/// Bit `8L + b` of a hash value, shifted right by `b`, lands in byte `L`.
+const LANE_ONES: u64 = 0x0101_0101_0101_0101;
+
+/// While `Σ|Δ|` stays at or below this, every counter is an integer of
+/// magnitude at most `2⁵³`, which an `f64` holds exactly.
+const EXACT_MASS: u64 = 1 << 53;
+
 /// Mixes an item into the hash key; the row (or, for `p = 2`, the group of
 /// rows) is added to the product.
 const KEY_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Evaluates the cubic `c₀ + c₁x + c₂x² + c₃x³` over `GF(2⁶¹ − 1)` at
+/// `key` by Horner's rule, giving the value `KWiseHash::hash` gives for the
+/// same coefficients. `reduce` is exact on any `u128`, so `key` needs no
+/// prior reduction mod `p`.
+#[inline]
+fn hash4(c: &[u64; 4], key: u64) -> u64 {
+    let x = u128::from(key);
+    let h = reduce(u128::from(c[3]) * x + u128::from(c[2]));
+    let h = reduce(u128::from(h) * x + u128::from(c[1]));
+    reduce(u128::from(h) * x + u128::from(c[0]))
+}
 
 /// The p-stable `F_p` sketch.
 #[derive(Debug, Clone)]
 pub struct PStableSketch {
     config: PStableConfig,
-    /// Hashes producing the two per-(row, item) uniforms.
-    uniform_a: KWiseHash,
+    /// The 4-wise hash behind the `p = 2` signs and the first `p < 2`
+    /// uniform, as inline coefficients `c₀..c₃`. They are drawn in the
+    /// order `KWiseHash::from_rng(4, ..)` draws them, so the hash values
+    /// are the same as that family's.
+    uniform_a: [u64; 4],
+    /// The hash behind the second `p < 2` uniform.
     uniform_b: KWiseHash,
     counters: Vec<f64>,
+    /// `Σ|Δ|` over every `p = 2` update so far, saturating: a bound on
+    /// every counter's magnitude, which tells the counting kernel that the
+    /// counters are still exact integers.
+    mass: u64,
     /// `median(|X_p|)` calibration constant.
     calibration: f64,
 }
@@ -173,9 +250,10 @@ impl PStableSketch {
             median_abs_pstable(config.p)
         };
         Self {
-            uniform_a: KWiseHash::from_rng(4, &mut rng),
+            uniform_a: std::array::from_fn(|_| rng.gen_range(0..MERSENNE_P)),
             uniform_b: KWiseHash::from_rng(4, &mut rng),
             counters: vec![0.0; config.rows],
+            mass: 0,
             calibration,
             config,
         }
@@ -195,13 +273,62 @@ impl PStableSketch {
         // rows; distinct (row, item) pairs map to distinct keys because the
         // row count is far below 2^20.
         let key = item.wrapping_mul(KEY_MULTIPLIER).wrapping_add(row as u64);
-        let u1 = self.uniform_a.to_unit(key);
+        let u1 = hash4(&self.uniform_a, key) as f64 / MERSENNE_P as f64;
         if (self.config.p - 1.0).abs() < 1e-12 {
             // Cauchy fast path: a single tangent evaluation.
             return (std::f64::consts::PI * (u1.clamp(1e-12, 1.0 - 1e-12) - 0.5)).tan();
         }
         let u2 = self.uniform_b.to_unit(key);
         cms_pstable(self.config.p, u1, u2)
+    }
+
+    /// The `p = 2` per-row loop: row `60g + b` adds `Δ` with the sign
+    /// given by bit `b` of the hash of `(item, g)`.
+    fn add_signs(&mut self, update: Update) {
+        self.mass = self.mass.saturating_add(update.magnitude());
+        let delta_bits = (update.delta as f64).to_bits();
+        let base = update.item.wrapping_mul(KEY_MULTIPLIER);
+        for (group, rows) in self.counters.chunks_mut(SIGNS_PER_HASH).enumerate() {
+            let signs = hash4(&self.uniform_a, base.wrapping_add(group as u64));
+            for (bit, counter) in rows.iter_mut().enumerate() {
+                *counter += f64::from_bits(delta_bits ^ (((signs >> bit) & 1) << 63));
+            }
+        }
+    }
+
+    /// The `p = 2` counting kernel for a chunk of at most [`CHUNK`] updates
+    /// with `Δ = ±1`, while the counters stay exact (see the module docs).
+    fn count_signs(&mut self, chunk: &[Update]) {
+        let n = chunk.len();
+        debug_assert!(n <= CHUNK && chunk.iter().all(|u| u.magnitude() == 1));
+        debug_assert!(self.mass <= EXACT_MASS - n as u64);
+        self.mass += n as u64;
+        let mut signs = [0u64; CHUNK];
+        for (group, rows) in self.counters.chunks_mut(SIGNS_PER_HASH).enumerate() {
+            // Every key is hashed before any is used, so the Horner chains
+            // of the chunk overlap.
+            for (s, u) in signs.iter_mut().zip(chunk) {
+                let key = u.item.wrapping_mul(KEY_MULTIPLIER);
+                *s = hash4(&self.uniform_a, key.wrapping_add(group as u64));
+            }
+            // Byte L of lanes[b] counts the set bits of row 60g + 8L + b. A
+            // −1 update counts the complement of its hash (see the module
+            // docs).
+            let mut lanes = [0u64; 8];
+            for (&s, u) in signs.iter().zip(chunk) {
+                let s = if u.delta < 0 { !s } else { s };
+                for (b, lane) in lanes.iter_mut().enumerate() {
+                    *lane += (s >> b) & LANE_ONES;
+                }
+            }
+            // An `i32` step converts to f64 with SSE2's packed `cvtdq2pd`.
+            for (byte, octet) in rows.chunks_mut(8).enumerate() {
+                for (lane, counter) in lanes.iter().zip(octet) {
+                    let set = ((lane >> (8 * byte)) & 0xFF) as i32;
+                    *counter += f64::from(n as i32 - 2 * set);
+                }
+            }
+        }
     }
 
     /// The `(1 ± ε)` estimate of the norm `‖f‖_p`.
@@ -227,23 +354,41 @@ impl PStableSketch {
 
 impl Estimator for PStableSketch {
     fn update(&mut self, update: Update) {
-        let delta = update.delta as f64;
         if Self::is_gaussian(self.config.p) {
-            // Row `60g + b` adds `Δ` with the sign given by bit `b` of the
-            // hash of `(item, g)`.
-            let delta_bits = delta.to_bits();
-            let base = update.item.wrapping_mul(KEY_MULTIPLIER);
-            for (group, rows) in self.counters.chunks_mut(SIGNS_PER_HASH).enumerate() {
-                let signs = self.uniform_a.hash(base.wrapping_add(group as u64));
-                for (bit, counter) in rows.iter_mut().enumerate() {
-                    *counter += f64::from_bits(delta_bits ^ (((signs >> bit) & 1) << 63));
-                }
-            }
+            self.add_signs(update);
             return;
         }
+        let delta = update.delta as f64;
         for row in 0..self.config.rows {
             let x = self.variate(row, update.item);
             self.counters[row] += x * delta;
+        }
+    }
+
+    /// At `p = 2`, each run of two or more `Δ = ±1` updates (up to
+    /// [`CHUNK`] at a time) goes through the counting kernel; a lone unit
+    /// update and every other `Δ` take the per-row loop, in stream order.
+    fn update_batch(&mut self, updates: &[Update]) {
+        if !Self::is_gaussian(self.config.p) {
+            for &u in updates {
+                self.update(u);
+            }
+            return;
+        }
+        let mut rest = updates;
+        while let Some(&first) = rest.first() {
+            let run = rest
+                .iter()
+                .take(CHUNK)
+                .take_while(|u| u.magnitude() == 1)
+                .count();
+            if run >= 2 && self.mass <= EXACT_MASS - run as u64 {
+                self.count_signs(&rest[..run]);
+                rest = &rest[run..];
+            } else {
+                self.add_signs(first);
+                rest = &rest[1..];
+            }
         }
     }
 
@@ -373,6 +518,148 @@ mod tests {
                 // ±1 entries make every counter an exact integer, so the
                 // turnstile tenants' counters return to exactly zero.
                 assert!(sketch.counters.iter().all(|&z| z == 0.0));
+            }
+        }
+    }
+
+    #[test]
+    fn linearity_under_batched_deletions() {
+        for rows in [59, 461] {
+            for batch in [2, 4, 64, 300] {
+                let mut sketch = PStableSketch::new(PStableConfig { p: 2.0, rows }, 19);
+                let inserts: Vec<Update> = (0..300u64).map(Update::insert).collect();
+                let deletes: Vec<Update> = (0..300u64).rev().map(Update::delete).collect();
+                for chunk in inserts.chunks(batch).chain(deletes.chunks(batch)) {
+                    sketch.update_batch(chunk);
+                }
+                // Exactly +0.0, as the per-row loop leaves it.
+                assert!(
+                    sketch.counters.iter().all(|z| z.to_bits() == 0),
+                    "rows {rows}, batch {batch}"
+                );
+                assert_eq!(sketch.estimate(), 0.0);
+            }
+        }
+    }
+
+    /// The per-row `p = 2` loop as it stood before the counting kernel,
+    /// hashing through `KWiseHash`: the reference the kernel must match
+    /// bit for bit.
+    struct ReferenceP2 {
+        signs: KWiseHash,
+        counters: Vec<f64>,
+    }
+
+    impl ReferenceP2 {
+        fn new(rows: usize, seed: u64) -> Self {
+            Self {
+                signs: KWiseHash::from_rng(4, &mut StdRng::seed_from_u64(seed)),
+                counters: vec![0.0; rows],
+            }
+        }
+
+        fn update(&mut self, update: Update) {
+            let delta_bits = (update.delta as f64).to_bits();
+            let base = update.item.wrapping_mul(KEY_MULTIPLIER);
+            for (group, rows) in self.counters.chunks_mut(SIGNS_PER_HASH).enumerate() {
+                let signs = self.signs.hash(base.wrapping_add(group as u64));
+                for (bit, counter) in rows.iter_mut().enumerate() {
+                    *counter += f64::from_bits(delta_bits ^ (((signs >> bit) & 1) << 63));
+                }
+            }
+        }
+    }
+
+    /// Feeds `updates` to the sketch in batches of `batch` and to the
+    /// reference one at a time, comparing every counter's bits after each
+    /// batch and the estimate's bits at the end.
+    fn assert_matches_reference(rows: usize, seed: u64, updates: &[Update], batch: usize) {
+        let mut sketch = PStableSketch::new(PStableConfig { p: 2.0, rows }, seed);
+        let mut reference = ReferenceP2::new(rows, seed);
+        for (i, chunk) in updates.chunks(batch).enumerate() {
+            sketch.update_batch(chunk);
+            for &u in chunk {
+                reference.update(u);
+            }
+            for (row, (z, r)) in sketch.counters.iter().zip(&reference.counters).enumerate() {
+                assert_eq!(
+                    z.to_bits(),
+                    r.to_bits(),
+                    "rows {rows}, batch {batch}, chunk {i}, row {row}: {z} vs {r}"
+                );
+            }
+        }
+        let mean = reference.counters.iter().map(|z| z * z).sum::<f64>() / rows as f64;
+        assert_eq!(sketch.estimate().to_bits(), mean.sqrt().powf(2.0).to_bits());
+    }
+
+    #[test]
+    fn counting_kernel_matches_the_per_row_reference() {
+        let zipf = ZipfGenerator::new(1 << 12, 1.1, 29).take_updates(600);
+        // All +1.
+        let inserts = zipf.clone();
+        // ±1 turnstile waves: alternating runs of 50 inserts and 50 deletes.
+        let waves: Vec<Update> = zipf
+            .iter()
+            .enumerate()
+            .map(|(t, u)| Update::new(u.item, if (t / 50) % 2 == 0 { 1 } else { -1 }))
+            .collect();
+        // ±1 with Δ ∈ {0, 2, −3, 1000} mixed in, singly and in pairs.
+        let odd = [0, 2, -3, 1000];
+        let mixed: Vec<Update> = waves
+            .iter()
+            .enumerate()
+            .map(|(t, u)| match t % 11 {
+                3 | 7 | 8 => Update::new(u.item, odd[t % odd.len()]),
+                _ => *u,
+            })
+            .collect();
+        for rows in [16, 59, 60, 61, 461, 1537] {
+            for batch in [1, 2, 4, 16, 63, 64, 65, 200] {
+                for (seed, stream) in [&inserts, &waves, &mixed].into_iter().enumerate() {
+                    assert_matches_reference(rows, seed as u64, stream, batch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_stops_where_counters_would_round() {
+        // Past 2⁵³ an f64 no longer holds every integer, so adding +1 twice
+        // and adding +2 once can round differently: the per-row loop must
+        // take over before any counter can get there.
+        for start in [(1i64 << 53) - 40, 1 << 53, 1 << 60, i64::MAX, i64::MIN] {
+            let mut stream = vec![Update::new(7, start)];
+            stream
+                .extend((0..200).map(|t| Update::new(7 + t % 3, if t % 5 == 4 { -1 } else { 1 })));
+            for batch in [2, 64, 201] {
+                assert_matches_reference(61, 3, &stream, batch);
+            }
+        }
+    }
+
+    #[test]
+    fn inline_hash_matches_the_four_wise_polynomial_family() {
+        let p = MERSENNE_P;
+        for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
+            let sketch = PStableSketch::new(PStableConfig { p: 2.0, rows: 16 }, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let family = KWiseHash::from_rng(4, &mut rng);
+            let second = KWiseHash::from_rng(4, &mut rng);
+            let edges = [0, 1, 2, p - 1, p, p + 1, 2 * p, u64::MAX - 1, u64::MAX];
+            let mut rng = StdRng::seed_from_u64(seed ^ 7);
+            let random: Vec<u64> = (0..2_000).map(|_| rng.gen()).collect();
+            for key in edges.into_iter().chain(random) {
+                assert_eq!(
+                    hash4(&sketch.uniform_a, key),
+                    family.hash(key),
+                    "seed {seed}: {key}"
+                );
+                assert_eq!(
+                    sketch.uniform_b.hash(key),
+                    second.hash(key),
+                    "seed {seed}: {key}"
+                );
             }
         }
     }
