@@ -375,7 +375,8 @@ mod tests {
                     .stream_length(4_000)
                     .domain(1 << 10)
                     .seed(3)
-                    .f0(),
+                    .f0()
+                    .unwrap(),
             ),
         );
         let updates = UniformGenerator::new(1 << 10, 5).take_updates(3_000);
@@ -406,7 +407,7 @@ mod tests {
         }
         let mut session = StreamSession::new(
             StreamModel::InsertionOnly,
-            Box::new(RobustBuilder::new(0.3).stream_length(100).f0()),
+            Box::new(RobustBuilder::new(0.3).stream_length(100).f0().unwrap()),
         );
         let config = GameConfig::relative(Query::F0, 0.1, 100);
         let outcome = GameRunner::new(config).run_session(&mut session, &mut DeletingAdversary);

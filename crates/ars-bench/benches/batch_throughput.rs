@@ -60,7 +60,7 @@ fn bench_batching(c: &mut Criterion) {
 
     group.bench_function("robust_f0/per_update", |b| {
         b.iter_batched(
-            || builder().f0(),
+            || builder().f0().unwrap(),
             |mut robust| {
                 for &u in &f0_stream {
                     robust.update(u);
@@ -73,7 +73,7 @@ fn bench_batching(c: &mut Criterion) {
 
     group.bench_function("robust_f0/update_batch", |b| {
         b.iter_batched(
-            || builder().f0(),
+            || builder().f0().unwrap(),
             |mut robust| {
                 for chunk in f0_stream.chunks(BATCH) {
                     robust.update_batch(chunk);
@@ -92,7 +92,7 @@ fn bench_batching(c: &mut Criterion) {
             || {
                 ars_core::StreamSession::new(
                     ars_stream::StreamModel::InsertionOnly,
-                    Box::new(builder().f0()),
+                    Box::new(builder().f0().unwrap()),
                 )
             },
             |mut session| {
@@ -109,7 +109,7 @@ fn bench_batching(c: &mut Criterion) {
 
     group.bench_function("robust_f0_dp/per_update", |b| {
         b.iter_batched(
-            || builder().strategy(Strategy::DpAggregation).f0(),
+            || builder().strategy(Strategy::DpAggregation).f0().unwrap(),
             |mut robust| {
                 for &u in &f0_stream {
                     robust.update(u);
@@ -122,7 +122,7 @@ fn bench_batching(c: &mut Criterion) {
 
     group.bench_function("robust_f0_dp/update_batch", |b| {
         b.iter_batched(
-            || builder().strategy(Strategy::DpAggregation).f0(),
+            || builder().strategy(Strategy::DpAggregation).f0().unwrap(),
             |mut robust| {
                 for chunk in f0_stream.chunks(BATCH) {
                     robust.update_batch(chunk);
@@ -141,6 +141,7 @@ fn bench_batching(c: &mut Criterion) {
                     .domain(1 << 12)
                     .seed(9)
                     .fp(2.0)
+                    .unwrap()
             },
             |mut robust| {
                 for &u in &fp_stream {
@@ -164,6 +165,7 @@ fn bench_batching(c: &mut Criterion) {
                         .domain(1 << 12)
                         .seed(9)
                         .fp(2.0)
+                        .unwrap()
                 },
                 |mut robust| {
                     for chunk in fp_stream.chunks(batch) {
@@ -200,7 +202,8 @@ fn bench_batching(c: &mut Criterion) {
                     .domain(1 << 16)
                     .max_frequency(8)
                     .seed(9)
-                    .bounded_deletion_fp(1.0, 2.0),
+                    .bounded_deletion_fp(1.0, 2.0)
+                    .unwrap(),
             ),
         )
         .with_validator_tier(tier)

@@ -413,18 +413,24 @@ pub fn table1_f0(scale: ExperimentScale, seed: u64) -> ExperimentReport {
             ),
             Contender::robust(
                 "robust F0 (sketch switching, Thm 1.1)",
-                Box::new(b.seed(seed + 2).f0()),
+                Box::new(b.seed(seed + 2).f0().unwrap()),
             ),
             Contender::robust(
                 "robust F0 (computation paths, Thm 1.2)",
-                Box::new(b.seed(seed + 3).strategy(Strategy::ComputationPaths).f0()),
+                Box::new(
+                    b.seed(seed + 3)
+                        .strategy(Strategy::ComputationPaths)
+                        .f0()
+                        .unwrap(),
+                ),
             ),
             Contender::robust(
                 "robust F0 (crypto PRF, Thm 10.1)",
                 Box::new(
                     b.seed(seed + 4)
                         .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                        .f0(),
+                        .f0()
+                        .unwrap(),
                 ),
             ),
         ];
@@ -459,11 +465,16 @@ pub fn table1_fp_small(scale: ExperimentScale, seed: u64) -> ExperimentReport {
             ),
             Contender::robust(
                 format!("robust Fp (sketch switching, p={p}, Thm 1.4)"),
-                Box::new(b.seed(seed + 11).fp(p)),
+                Box::new(b.seed(seed + 11).fp(p).unwrap()),
             ),
             Contender::robust(
                 format!("robust Fp (computation paths, p={p}, Thm 1.5)"),
-                Box::new(b.seed(seed + 12).strategy(Strategy::ComputationPaths).fp(p)),
+                Box::new(
+                    b.seed(seed + 12)
+                        .strategy(Strategy::ComputationPaths)
+                        .fp(p)
+                        .unwrap(),
+                ),
             ),
         ];
         report.rows.extend(score_contenders(
@@ -498,7 +509,7 @@ pub fn table1_fp_large(scale: ExperimentScale, seed: u64) -> ExperimentReport {
             ),
             Contender::robust(
                 format!("robust Fp (computation paths, p={p}, Thm 1.7)"),
-                Box::new(b.seed(seed + 21).fp_large(p)),
+                Box::new(b.seed(seed + 21).fp_large(p).unwrap()),
             ),
         ];
         report.rows.extend(score_contenders(
@@ -585,7 +596,7 @@ pub fn table1_heavy_hitters(scale: ExperimentScale, seed: u64) -> ExperimentRepo
     ));
 
     // Robust heavy hitters, via the unified builder.
-    let mut robust = builder(scale, epsilon, seed + 31).heavy_hitters();
+    let mut robust = builder(scale, epsilon, seed + 31).heavy_hitters().unwrap();
     for &u in &updates {
         robust.update(u);
     }
@@ -624,11 +635,19 @@ pub fn table1_entropy(scale: ExperimentScale, seed: u64) -> ExperimentReport {
         ),
         Contender::robust(
             "robust entropy (Renyi backend, Thm 1.10)",
-            Box::new(b.entropy_method(ars_core::EntropyMethod::Renyi).entropy()),
+            Box::new(
+                b.entropy_method(ars_core::EntropyMethod::Renyi)
+                    .entropy()
+                    .unwrap(),
+            ),
         ),
         Contender::robust(
             "robust entropy (sampled backend, random-oracle row)",
-            Box::new(b.entropy_method(ars_core::EntropyMethod::Sampled).entropy()),
+            Box::new(
+                b.entropy_method(ars_core::EntropyMethod::Sampled)
+                    .entropy()
+                    .unwrap(),
+            ),
         ),
     ];
     report.rows.extend(score_contenders(
@@ -674,7 +693,8 @@ pub fn table1_turnstile(scale: ExperimentScale, seed: u64) -> ExperimentReport {
     // accounting is read back through the RobustEstimator surface.
     let mut robust = builder(scale, epsilon, seed + 51)
         .max_frequency(4)
-        .turnstile_fp(2.0, lambda);
+        .turnstile_fp(2.0, lambda)
+        .unwrap();
     let (err, space) = score_tracking(&mut robust, &updates, Query::Fp(2.0), warmup, false);
     report.rows.push(Row {
         algorithm: "robust turnstile Fp (Thm 1.6)".to_string(),
@@ -712,7 +732,8 @@ pub fn table1_bounded_deletion(scale: ExperimentScale, seed: u64) -> ExperimentR
                 Box::new(
                     builder(scale, epsilon, seed + 61)
                         .max_frequency(4)
-                        .bounded_deletion_fp(1.0, alpha),
+                        .bounded_deletion_fp(1.0, alpha)
+                        .unwrap(),
                 ),
             ),
         ];
@@ -783,7 +804,8 @@ pub fn attack_ams(scale: ExperimentScale, seed: u64) -> ExperimentReport {
                 RobustBuilder::new(0.5)
                     .stream_length(rounds as u64)
                     .seed(seed + 200 + trial as u64)
-                    .fp(2.0),
+                    .fp(2.0)
+                    .unwrap(),
             ),
         );
         let trial_seed = seed + 300 + trial as u64;
@@ -809,6 +831,7 @@ pub fn attack_ams(scale: ExperimentScale, seed: u64) -> ExperimentReport {
         space_bytes: RobustBuilder::new(0.5)
             .stream_length(rounds as u64)
             .fp(2.0)
+            .unwrap()
             .space_bytes(),
         max_error: robust_failures as f64 / scale.trials as f64,
         within_guarantee: robust_failures == 0,
@@ -923,11 +946,16 @@ pub fn fast_f0_update_time(scale: ExperimentScale, seed: u64) -> ExperimentRepor
         ),
         Contender::robust(
             "robust F0 (sketch switching)",
-            Box::new(b.seed(seed + 2).f0()),
+            Box::new(b.seed(seed + 2).f0().unwrap()),
         ),
         Contender::robust(
             "robust F0 (computation paths over Alg. 2, Thm 5.4)",
-            Box::new(b.seed(seed + 3).strategy(Strategy::ComputationPaths).f0()),
+            Box::new(
+                b.seed(seed + 3)
+                    .strategy(Strategy::ComputationPaths)
+                    .f0()
+                    .unwrap(),
+            ),
         ),
     ];
 
@@ -953,11 +981,16 @@ pub fn fast_f0_update_time(scale: ExperimentScale, seed: u64) -> ExperimentRepor
     let batch_contenders: Vec<(String, Box<dyn RobustEstimator>)> = vec![
         (
             "robust F0 (sketch switching, update_batch)".to_string(),
-            Box::new(b.seed(seed + 2).f0()),
+            Box::new(b.seed(seed + 2).f0().unwrap()),
         ),
         (
             "robust F0 (computation paths, update_batch)".to_string(),
-            Box::new(b.seed(seed + 3).strategy(Strategy::ComputationPaths).f0()),
+            Box::new(
+                b.seed(seed + 3)
+                    .strategy(Strategy::ComputationPaths)
+                    .f0()
+                    .unwrap(),
+            ),
         ),
     ];
     for (label, mut estimator) in batch_contenders {
@@ -1018,7 +1051,8 @@ pub fn crypto_f0_experiment(scale: ExperimentScale, seed: u64) -> ExperimentRepo
                 Box::new(
                     b.seed(seed + 1)
                         .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                        .f0(),
+                        .f0()
+                        .unwrap(),
                 ),
             ),
         ),
@@ -1029,7 +1063,8 @@ pub fn crypto_f0_experiment(scale: ExperimentScale, seed: u64) -> ExperimentRepo
                 Box::new(
                     b.seed(seed + 2)
                         .strategy(Strategy::Crypto(CryptoBackend::RandomOracle))
-                        .f0(),
+                        .f0()
+                        .unwrap(),
                 ),
             ),
         ),
@@ -1037,7 +1072,7 @@ pub fn crypto_f0_experiment(scale: ExperimentScale, seed: u64) -> ExperimentRepo
             "robust F0 (sketch switching, for comparison)".to_string(),
             StreamSession::new(
                 ars_stream::StreamModel::InsertionOnly,
-                Box::new(b.seed(seed + 3).f0()),
+                Box::new(b.seed(seed + 3).f0().unwrap()),
             ),
         ),
     ];
@@ -1077,7 +1112,8 @@ pub fn wrapper_ablation(scale: ExperimentScale, seed: u64) -> ExperimentReport {
                     builder(scale, epsilon, seed + 70)
                         .delta(delta)
                         .strategy(strategy)
-                        .f0(),
+                        .f0()
+                        .unwrap(),
                 ),
             )
         })
@@ -1270,12 +1306,17 @@ pub fn dp_aggregation_experiment(scale: ExperimentScale, seed: u64) -> Experimen
         (
             "robust F0 (restarting switching, Thm 4.1)".to_string(),
             String::new(),
-            Box::new(b.seed(seed + 2).f0()),
+            Box::new(b.seed(seed + 2).f0().unwrap()),
         ),
         (
             "robust F0 (computation paths, Thm 1.2)".to_string(),
             String::new(),
-            Box::new(b.seed(seed + 3).strategy(Strategy::ComputationPaths).f0()),
+            Box::new(
+                b.seed(seed + 3)
+                    .strategy(Strategy::ComputationPaths)
+                    .f0()
+                    .unwrap(),
+            ),
         ),
         (
             "robust F0 (DP aggregation, HKMMS20)".to_string(),
@@ -1283,7 +1324,12 @@ pub fn dp_aggregation_experiment(scale: ExperimentScale, seed: u64) -> Experimen
                 "sqrt(lambda) pool = {} of lambda = {lambda}",
                 DpAggregationConfig::copies_for_flip_budget(lambda)
             ),
-            Box::new(b.seed(seed + 4).strategy(Strategy::DpAggregation).f0()),
+            Box::new(
+                b.seed(seed + 4)
+                    .strategy(Strategy::DpAggregation)
+                    .f0()
+                    .unwrap(),
+            ),
         ),
     ];
 
@@ -1325,13 +1371,17 @@ pub fn dp_aggregation_experiment(scale: ExperimentScale, seed: u64) -> Experimen
         (
             "robust F0 (DP aggregation) under adaptive dip-hunter",
             2.0 * epsilon,
-            Box::new(b.seed(seed + 5).strategy(Strategy::DpAggregation).f0())
-                as Box<dyn RobustEstimator>,
+            Box::new(
+                b.seed(seed + 5)
+                    .strategy(Strategy::DpAggregation)
+                    .f0()
+                    .unwrap(),
+            ) as Box<dyn RobustEstimator>,
         ),
         (
             "robust F0 (sketch switching) under adaptive dip-hunter",
             1.3 * epsilon,
-            Box::new(b.seed(seed + 6).f0()),
+            Box::new(b.seed(seed + 6).f0().unwrap()),
         ),
     ] {
         let config = GameConfig::relative(Query::F0, threshold, rounds).with_warmup(500);
@@ -1393,7 +1443,7 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
             "robust F0 (restarting switching, Thm 4.1)".to_string(),
             String::new(),
             1.3 * epsilon,
-            Box::new(b.seed(seed + 2).f0()),
+            Box::new(b.seed(seed + 2).f0().unwrap()),
         ),
         (
             "robust F0 (DP aggregation, HKMMS20)".to_string(),
@@ -1402,7 +1452,12 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
                 DpAggregationConfig::copies_for_flip_budget(lambda)
             ),
             2.0 * epsilon,
-            Box::new(b.seed(seed + 3).strategy(Strategy::DpAggregation).f0()),
+            Box::new(
+                b.seed(seed + 3)
+                    .strategy(Strategy::DpAggregation)
+                    .f0()
+                    .unwrap(),
+            ),
         ),
         (
             "robust F0 (difference estimators, ACSS22)".to_string(),
@@ -1415,7 +1470,8 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
             Box::new(
                 b.seed(seed + 4)
                     .strategy(Strategy::DifferenceEstimators)
-                    .f0(),
+                    .f0()
+                    .unwrap(),
             ),
         ),
     ];
@@ -1432,13 +1488,18 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
             "robust F2 (restarting switching, Thm 1.4)".to_string(),
             String::new(),
             1.6 * epsilon,
-            Box::new(b.seed(seed + 5).fp(2.0)),
+            Box::new(b.seed(seed + 5).fp(2.0).unwrap()),
         ),
         (
             "robust F2 (DP aggregation, HKMMS20)".to_string(),
             String::new(),
             2.0 * epsilon,
-            Box::new(b.seed(seed + 6).strategy(Strategy::DpAggregation).fp(2.0)),
+            Box::new(
+                b.seed(seed + 6)
+                    .strategy(Strategy::DpAggregation)
+                    .fp(2.0)
+                    .unwrap(),
+            ),
         ),
         (
             "robust F2 (difference estimators, ACSS22)".to_string(),
@@ -1450,7 +1511,8 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
             Box::new(
                 b.seed(seed + 7)
                     .strategy(Strategy::DifferenceEstimators)
-                    .fp(2.0),
+                    .fp(2.0)
+                    .unwrap(),
             ),
         ),
     ];
@@ -1495,13 +1557,14 @@ pub fn difference_estimators_experiment(scale: ExperimentScale, seed: u64) -> Ex
             Box::new(
                 b.seed(seed + 8)
                     .strategy(Strategy::DifferenceEstimators)
-                    .f0(),
+                    .f0()
+                    .unwrap(),
             ) as Box<dyn RobustEstimator>,
         ),
         (
             "robust F0 (sketch switching) under adaptive dip-hunter",
             1.3 * epsilon,
-            Box::new(b.seed(seed + 10).f0()),
+            Box::new(b.seed(seed + 10).f0().unwrap()),
         ),
     ] {
         let config = GameConfig::relative(Query::F0, threshold, rounds).with_warmup(500);
@@ -1602,7 +1665,7 @@ pub fn validator_tiers_experiment(scale: ExperimentScale, seed: u64) -> Experime
     let inserts =
         UniformGenerator::new(scale.domain, seed ^ 0xA11CE).take_updates(scale.stream_length);
     for (label, exact) in [("stateless fast path", false), ("exact state opt-in", true)] {
-        let session = StreamSession::new(StreamModel::InsertionOnly, Box::new(b.f0()));
+        let session = StreamSession::new(StreamModel::InsertionOnly, Box::new(b.f0().unwrap()));
         let mut session = if exact {
             session.with_exact_state()
         } else {
@@ -1882,7 +1945,13 @@ mod tests {
             ),
             Contender::robust(
                 "robust F0",
-                Box::new(RobustBuilder::new(0.2).stream_length(2_000).seed(2).f0()),
+                Box::new(
+                    RobustBuilder::new(0.2)
+                        .stream_length(2_000)
+                        .seed(2)
+                        .f0()
+                        .unwrap(),
+                ),
             ),
         ];
         let rows = score_contenders(contenders, &updates, Query::F0, "uniform", 0.2, 100, false);

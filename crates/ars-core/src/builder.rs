@@ -14,20 +14,32 @@
 //! [`crate::api::RobustEstimator`] trait (with [`ars_sketch::Estimator`]
 //! for `update`/`insert`/`estimate`/`space_bytes`).
 //!
+//!
+//! Every problem constructor returns `Result<_, ArsError>`: the setters
+//! only record parameters, and each constructor checks ε, δ and its own
+//! parameters before it builds anything, so an out-of-range value is a
+//! typed [`BuildError`] rather than a panic.
+//!
 //! ```
-//! use ars_core::{RobustBuilder, Strategy};
+//! use ars_core::{ArsError, RobustBuilder, Strategy};
 //! use ars_sketch::Estimator;
 //!
 //! let mut f0 = RobustBuilder::new(0.1)
 //!     .stream_length(10_000)
 //!     .seed(7)
-//!     .f0();
+//!     .f0()?;
 //! let mut f2 = RobustBuilder::new(0.3)
 //!     .strategy(Strategy::ComputationPaths)
-//!     .fp(2.0);
+//!     .fp(2.0)?;
 //! f0.insert(1);
 //! f2.insert(1);
+//! # Ok::<(), ArsError>(())
 //! ```
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)
+)]
 
 use ars_sketch::entropy::{
     RenyiEntropyConfig, RenyiEntropyFactory, SampledEntropyConfig, SampledEntropyFactory,
@@ -35,7 +47,7 @@ use ars_sketch::entropy::{
 use ars_sketch::fast_f0::{FastF0Config, FastF0Factory};
 use ars_sketch::fp_large::{FpLargeConfig, FpLargeFactory};
 use ars_sketch::kmv::{KmvConfig, KmvFactory};
-use ars_sketch::pstable::{PStableConfig, PStableFactory};
+use ars_sketch::pstable::{PStableConfig, PStableFactory, MIN_P};
 use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
 use ars_sketch::EstimatorFactory;
 
@@ -54,7 +66,7 @@ use crate::sketch_switch::{SketchSwitch, SketchSwitchConfig};
 ///
 /// `None` (the builder default) lets each problem pick the route its paper
 /// theorem uses; problems that only admit one route reject the others with
-/// a panic naming the conflict.
+/// a typed [`BuildError::StrategyMismatch`] naming the conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// Optimized sketch switching (Algorithm 1 / Theorem 4.1).
@@ -103,37 +115,23 @@ impl RobustBuilder {
             .strategy(Strategy::Crypto(CryptoBackend::default()))
     }
 
-    /// Starts a builder for `(1 ± ε)` robust estimators, panicking on an
-    /// invalid ε — a thin wrapper over [`RobustBuilder::try_new`].
-    ///
-    /// ```
-    /// use ars_core::RobustBuilder;
-    ///
-    /// let builder = RobustBuilder::new(0.2).stream_length(1_000).domain(1 << 10);
-    /// assert_eq!(builder.epsilon(), 0.2);
-    /// ```
-    #[must_use]
-    pub fn new(epsilon: f64) -> Self {
-        Self::try_new(epsilon).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Starts a builder for `(1 ± ε)` robust estimators, rejecting an
-    /// invalid ε with a typed [`BuildError`] instead of a panic.
+    /// Starts a builder for `(1 ± ε)` robust estimators. ε must lie in
+    /// `(0, 1)`; the problem constructors check it and return
+    /// [`BuildError::OutOfRange`] for `"epsilon"` otherwise.
     ///
     /// ```
     /// use ars_core::{ArsError, BuildError, RobustBuilder};
     ///
-    /// assert!(RobustBuilder::try_new(0.2).is_ok());
+    /// let builder = RobustBuilder::new(0.2).stream_length(1_000).domain(1 << 10);
+    /// assert_eq!(builder.epsilon(), 0.2);
     /// assert!(matches!(
-    ///     RobustBuilder::try_new(1.5),
+    ///     RobustBuilder::new(1.5).f0(),
     ///     Err(ArsError::Build(BuildError::OutOfRange { field: "epsilon", .. }))
     /// ));
     /// ```
-    pub fn try_new(epsilon: f64) -> Result<Self, ArsError> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(BuildError::out_of_range("epsilon", epsilon, "(0,1)").into());
-        }
-        Ok(Self {
+    #[must_use]
+    pub fn new(epsilon: f64) -> Self {
+        Self {
             epsilon,
             delta: 1e-3,
             stream_length: 1 << 20,
@@ -142,23 +140,15 @@ impl RobustBuilder {
             seed: 0,
             strategy: None,
             entropy_method: EntropyMethod::default(),
-        })
-    }
-
-    /// Overall failure probability δ (default `10⁻³`); panics on an
-    /// invalid value — see [`RobustBuilder::try_delta`].
-    #[must_use]
-    pub fn delta(self, delta: f64) -> Self {
-        self.try_delta(delta).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible setter for the failure probability δ.
-    pub fn try_delta(mut self, delta: f64) -> Result<Self, ArsError> {
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(BuildError::out_of_range("delta", delta, "(0,1)").into());
         }
+    }
+
+    /// Overall failure probability δ (default `10⁻³`), in `(0, 1)`; the
+    /// problem constructors reject any other value as they do ε.
+    #[must_use]
+    pub fn delta(mut self, delta: f64) -> Self {
         self.delta = delta;
-        Ok(self)
+        self
     }
 
     /// Maximum stream length `m` (default `2²⁰`).
@@ -217,6 +207,18 @@ impl RobustBuilder {
         (self.delta, self.domain, self.stream_length, self.seed)
     }
 
+    /// The checks every problem constructor runs first: ε and δ in
+    /// `(0, 1)`.
+    fn validate(&self) -> Result<(), BuildError> {
+        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
+            return Err(BuildError::out_of_range("epsilon", self.epsilon, "(0,1)"));
+        }
+        if !(self.delta > 0.0 && self.delta < 1.0) {
+            return Err(BuildError::out_of_range("delta", self.delta, "(0,1)"));
+        }
+        Ok(())
+    }
+
     fn plan(&self, lambda: usize, value_range: f64) -> RobustPlan {
         RobustPlan {
             epsilon: self.epsilon,
@@ -244,10 +246,11 @@ impl RobustBuilder {
     }
 
     /// Robust distinct elements (Theorems 1.1 / 1.2 / 10.1 depending on
-    /// the strategy).
+    /// the strategy). Every strategy admits an `F₀` route, so the only
+    /// errors are an ε or δ out of range.
     ///
     /// ```
-    /// use ars_core::{RobustBuilder, RobustEstimator, Strategy};
+    /// use ars_core::{ArsError, RobustBuilder, RobustEstimator, Strategy};
     /// use ars_sketch::Estimator;
     ///
     /// // The difference-estimator route: an O(log λ) chunk pool whose
@@ -256,23 +259,17 @@ impl RobustBuilder {
     ///     .stream_length(2_000)
     ///     .domain(1 << 10)
     ///     .strategy(Strategy::DifferenceEstimators)
-    ///     .f0();
+    ///     .f0()?;
     /// for i in 0..500u64 {
     ///     f0.insert(i);
     /// }
     /// let reading = f0.query();
     /// assert!((reading.value - 500.0).abs() <= 0.3 * 500.0);
     /// assert!(reading.copies >= 4 && reading.copies <= 24); // log-sized pool
+    /// # Ok::<(), ArsError>(())
     /// ```
-    #[must_use]
-    pub fn f0(&self) -> DynRobust {
-        self.try_f0().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::f0`]. Every strategy admits an `F₀`
-    /// route, so with a validly-constructed builder this cannot currently
-    /// fail; it completes the uniform `try_*` surface.
-    pub fn try_f0(&self) -> Result<DynRobust, ArsError> {
+    pub fn f0(&self) -> Result<DynRobust, ArsError> {
+        self.validate()?;
         let plan = self.plan(self.f0_flip_number(), (self.domain.max(2)) as f64);
         // The pool routes run the strong-tracking KMV ensemble (per-copy δ
         // floored for practicality; the copy count is logarithmic in it
@@ -280,13 +277,13 @@ impl RobustBuilder {
         let fast = |delta0| FastF0Factory {
             config: FastF0Config::for_accuracy(self.epsilon / 4.0, delta0, self.domain),
         };
-        Ok(self.route(
+        self.route(
             self.strategy.unwrap_or_default(),
             plan,
-            Some(SketchSwitchConfig::restarting(self.epsilon)),
+            SketchSwitchConfig::restarting(self.epsilon),
             |delta: f64| self.f0_tracking_factory(delta.max(1e-6)),
             fast,
-        ))
+        )
     }
 
     /// The flip-number budget of `F_p` (Corollary 3.5).
@@ -297,32 +294,32 @@ impl RobustBuilder {
     }
 
     /// Robust `F_p` moment estimation for `0 < p ≤ 2`
-    /// (Theorems 1.4 / 1.5).
+    /// (Theorems 1.4 / 1.5). Rejects `p` outside `[MIN_P, 2]` (see
+    /// [`ars_sketch::pstable::MIN_P`] for why the p-stable sketch stops
+    /// short of 0) and the unsound cryptographic strategy with a typed
+    /// error.
     ///
     /// ```
-    /// use ars_core::{RobustBuilder, RobustEstimator};
+    /// use ars_core::{ArsError, RobustBuilder, RobustEstimator};
     /// use ars_sketch::Estimator;
     ///
     /// let mut f2 = RobustBuilder::new(0.3)
     ///     .stream_length(1_000)
     ///     .domain(1 << 10)
-    ///     .fp(2.0);
+    ///     .fp(2.0)?;
     /// for i in 0..200u64 {
     ///     f2.insert(i);
     /// }
     /// // 200 singletons: F2 = 200.
     /// assert!((f2.query().value - 200.0).abs() <= 0.45 * 200.0);
+    /// # Ok::<(), ArsError>(())
     /// ```
-    #[must_use]
-    pub fn fp(&self, p: f64) -> DynRobust {
-        self.try_fp(p).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::fp`]: rejects `p` outside `(0, 2]` and
-    /// the (unsound) cryptographic strategy with a typed error.
-    pub fn try_fp(&self, p: f64) -> Result<DynRobust, ArsError> {
-        if !(p > 0.0 && p <= 2.0) {
-            return Err(BuildError::out_of_range("p", p, "(0, 2]; use fp_large for p > 2").into());
+    pub fn fp(&self, p: f64) -> Result<DynRobust, ArsError> {
+        self.validate()?;
+        if !(MIN_P..=2.0).contains(&p) {
+            return Err(
+                BuildError::out_of_range("p", p, "[0.1, 2]; use fp_large for p > 2").into(),
+            );
         }
         let strategy = self.strategy.unwrap_or_default();
         if let Strategy::Crypto(_) = strategy {
@@ -343,27 +340,21 @@ impl RobustBuilder {
         // count, so the boost is folded directly into the rows rather than
         // a median-of-copies layer (same asymptotics, far cheaper
         // constants).
-        Ok(self.route(
+        self.route(
             strategy,
             plan,
-            Some(SketchSwitchConfig::restarting_for_moment(self.epsilon, p)),
+            SketchSwitchConfig::restarting_for_moment(self.epsilon, p),
             |delta: f64| pstable(delta.max(1e-4)),
             pstable,
-        ))
+        )
     }
 
     /// Robust `F_p` for `p > 2` (Theorem 1.7; computation paths over the
     /// heavy-elements estimator, whose space grows only logarithmically in
-    /// `1/δ`).
-    #[must_use]
-    pub fn fp_large(&self, p: f64) -> DynRobust {
-        self.try_fp_large(p).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::fp_large`]: rejects `p ≤ 2`, a
-    /// non-finite `p` and non-computation-paths strategies with a typed
-    /// error.
-    pub fn try_fp_large(&self, p: f64) -> Result<DynRobust, ArsError> {
+    /// `1/δ`). Rejects `p ≤ 2`, a non-finite `p` and
+    /// non-computation-paths strategies with a typed error.
+    pub fn fp_large(&self, p: f64) -> Result<DynRobust, ArsError> {
+        self.validate()?;
         if !(p > 2.0 && p.is_finite()) {
             return Err(BuildError::out_of_range("p", p, "(2, inf); use fp for p <= 2").into());
         }
@@ -372,28 +363,21 @@ impl RobustBuilder {
         let plan = self.plan(self.fp_flip_number(p), value_range);
         // The heavy-elements estimator's space grows only logarithmically
         // in 1/δ, so it is provisioned by accuracy alone.
-        let factory = |_| FpLargeFactory {
+        self.computation_paths(plan, |_| FpLargeFactory {
             config: FpLargeConfig::for_accuracy(p, self.epsilon / 4.0, self.domain),
-        };
-        Ok(self.route(Strategy::ComputationPaths, plan, None, factory, factory))
+        })
     }
 
     /// Robust `F_p` for turnstile streams promised to have flip number at
     /// most `lambda` (Theorem 1.6 / 4.3). The wrapper cannot verify the
-    /// promise; [`crate::api::RobustEstimator::budget_exceeded`] flags streams that
-    /// left the class.
-    #[must_use]
-    pub fn turnstile_fp(&self, p: f64, lambda: usize) -> DynRobust {
-        self.try_turnstile_fp(p, lambda)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::turnstile_fp`]: rejects `p` outside
-    /// `(0, 2]`, a zero flip-number promise, and non-computation-paths
-    /// strategies with a typed error.
-    pub fn try_turnstile_fp(&self, p: f64, lambda: usize) -> Result<DynRobust, ArsError> {
-        if !(p > 0.0 && p <= 2.0) {
-            return Err(BuildError::out_of_range("p", p, "(0, 2]").into());
+    /// promise; [`crate::api::RobustEstimator::budget_exceeded`] flags
+    /// streams that left the class. Rejects `p` outside `[MIN_P, 2]` (as
+    /// [`RobustBuilder::fp`] does), a zero flip-number promise, and
+    /// non-computation-paths strategies with a typed error.
+    pub fn turnstile_fp(&self, p: f64, lambda: usize) -> Result<DynRobust, ArsError> {
+        self.validate()?;
+        if !(MIN_P..=2.0).contains(&p) {
+            return Err(BuildError::out_of_range("p", p, "[0.1, 2]").into());
         }
         if lambda < 1 {
             return Err(BuildError::out_of_range("lambda", lambda as f64, "[1, inf)").into());
@@ -401,10 +385,9 @@ impl RobustBuilder {
         self.ensure_paths("turnstile Fp (Theorem 4.3)")?;
         let value_range = (self.max_frequency as f64).powf(p.max(1.0)) * self.domain as f64;
         let plan = self.plan(lambda, value_range);
-        let pstable = |delta0| PStableFactory {
+        self.computation_paths(plan, |delta0| PStableFactory {
             config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta0),
-        };
-        Ok(self.route(Strategy::ComputationPaths, plan, None, pstable, pstable))
+        })
     }
 
     /// The flip-number budget of Lemma 8.2.
@@ -420,19 +403,12 @@ impl RobustBuilder {
         .bound
     }
 
-    /// Robust `F_p` for α-bounded-deletion streams (Theorem 1.11 / 8.3),
-    /// `p ∈ [1, 2]`, `α ≥ 1`.
-    #[must_use]
-    pub fn bounded_deletion_fp(&self, p: f64, alpha: f64) -> DynRobust {
-        self.try_bounded_deletion_fp(p, alpha)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::bounded_deletion_fp`]: rejects `p`
-    /// outside `[1, 2]` (Theorem 8.3 covers p in [1, 2]), an `α` that is
-    /// below 1 or not finite, and non-computation-paths strategies with a
-    /// typed error.
-    pub fn try_bounded_deletion_fp(&self, p: f64, alpha: f64) -> Result<DynRobust, ArsError> {
+    /// Robust `F_p` for α-bounded-deletion streams (Theorem 1.11 / 8.3).
+    /// Rejects `p` outside `[1, 2]` (Theorem 8.3 covers p in [1, 2]), an
+    /// `α` that is below 1 or not finite, and non-computation-paths
+    /// strategies with a typed error.
+    pub fn bounded_deletion_fp(&self, p: f64, alpha: f64) -> Result<DynRobust, ArsError> {
+        self.validate()?;
         if !(1.0..=2.0).contains(&p) {
             return Err(BuildError::out_of_range("p", p, "[1, 2] (Theorem 8.3)").into());
         }
@@ -442,10 +418,9 @@ impl RobustBuilder {
         self.ensure_paths("bounded-deletion Fp (Theorem 8.3)")?;
         let value_range = (self.max_frequency as f64).powf(p) * self.domain as f64;
         let plan = self.plan(self.bounded_deletion_flip_number(p, alpha), value_range);
-        let pstable = |delta0| PStableFactory {
+        self.computation_paths(plan, |delta0| PStableFactory {
             config: PStableConfig::for_tracking(p, self.epsilon / 2.0, delta0),
-        };
-        Ok(self.route(Strategy::ComputationPaths, plan, None, pstable, pstable))
+        })
     }
 
     /// The flip-number budget of `2^{H}` (Proposition 7.2).
@@ -457,14 +432,9 @@ impl RobustBuilder {
 
     /// Robust ε-additive Shannon entropy (Theorem 1.10 / 7.3): tracks
     /// `2^{H(f)}` multiplicatively through exhaustible sketch switching.
-    #[must_use]
-    pub fn entropy(&self) -> DynRobust {
-        self.try_entropy().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::entropy`]: rejects every strategy but
-    /// sketch switching with a typed error.
-    pub fn try_entropy(&self) -> Result<DynRobust, ArsError> {
+    /// Rejects every strategy but sketch switching with a typed error.
+    pub fn entropy(&self) -> Result<DynRobust, ArsError> {
+        self.validate()?;
         if let Some(strategy) = self.strategy {
             if !matches!(strategy, Strategy::SketchSwitching) {
                 return Err(BuildError::StrategyMismatch {
@@ -492,12 +462,9 @@ impl RobustBuilder {
         // log n; the pool is capped at a laptop-friendly size (documented
         // constant substitution) and the wrapper degrades gracefully — it
         // keeps using its last copy — if a stream exhausts it.
-        let pool = Some(SketchSwitchConfig::exhaustible(
-            mult_epsilon,
-            lambda.clamp(8, 64),
-        ));
+        let pool = SketchSwitchConfig::exhaustible(mult_epsilon, lambda.clamp(8, 64));
         let switching = Strategy::SketchSwitching;
-        Ok(match self.entropy_method {
+        match self.entropy_method {
             EntropyMethod::Renyi => {
                 // A practically parametrized Rényi order: the paper's
                 // α − 1 = Θ̃(ε / log² n) makes the F_α sketch astronomically
@@ -525,19 +492,13 @@ impl RobustBuilder {
                 };
                 self.route(switching, plan, pool, factory, factory)
             }
-        })
+        }
     }
 
     /// Robust `L₂` heavy hitters / point queries (Theorem 1.9 / 6.5).
-    #[must_use]
-    pub fn heavy_hitters(&self) -> RobustL2HeavyHitters {
-        self.try_heavy_hitters()
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible [`RobustBuilder::heavy_hitters`]: rejects every strategy
-    /// but sketch switching with a typed error.
-    pub fn try_heavy_hitters(&self) -> Result<RobustL2HeavyHitters, ArsError> {
+    /// Rejects every strategy but sketch switching with a typed error.
+    pub fn heavy_hitters(&self) -> Result<RobustL2HeavyHitters, ArsError> {
+        self.validate()?;
         if let Some(strategy) = self.strategy {
             if !matches!(strategy, Strategy::SketchSwitching) {
                 return Err(BuildError::StrategyMismatch {
@@ -548,7 +509,7 @@ impl RobustBuilder {
                 .into());
             }
         }
-        Ok(RobustL2HeavyHitters::from_builder(self))
+        RobustL2HeavyHitters::from_builder(self)
     }
 
     /// The strong-tracking KMV ensemble behind the pool-based `F₀` routes
@@ -571,11 +532,12 @@ impl RobustBuilder {
         }
     }
 
-    /// The one route table: builds `strategy`'s core around a problem's
-    /// static factories and wraps it in the engine under `plan`. Problem
-    /// constructors reject the routes they do not admit before calling
-    /// it, and pass `Strategy::ComputationPaths` or `SketchSwitching`
-    /// themselves when that is their only route.
+    /// The one route table for the problems that admit every strategy:
+    /// builds `strategy`'s core around a problem's static factories and
+    /// wraps it in the engine under `plan`. Problem constructors reject
+    /// the routes they do not admit before calling it; the problems whose
+    /// only route is computation paths call `computation_paths` directly,
+    /// and `pool` is the rotation the switching route uses.
     ///
     /// This is the only place that knows how each route spends δ:
     ///
@@ -593,34 +555,23 @@ impl RobustBuilder {
         &self,
         strategy: Strategy,
         mut plan: RobustPlan,
-        pool: Option<SketchSwitchConfig>,
+        pool: SketchSwitchConfig,
         pooled: impl Fn(f64) -> P,
         single: impl FnOnce(f64) -> S,
-    ) -> DynRobust
+    ) -> Result<DynRobust, ArsError>
     where
         P: EstimatorFactory + Send + 'static,
         P::Output: Send + 'static,
         S: EstimatorFactory,
         S::Output: Send + 'static,
     {
-        /// Practical floor for the computation-paths per-path failure
-        /// probability: the theoretical δ₀ underflows `f64` and would make
-        /// the static sketch enormous, so the route floors it here and
-        /// experiments report the theoretical exponent alongside.
-        const PRACTICAL_DELTA_FLOOR: f64 = 1e-12;
-
         let split = |copies: usize| self.delta / copies as f64;
         let seed = self.seed;
         let core: Box<dyn StrategyCore + Send> = match strategy {
             Strategy::SketchSwitching => {
-                let pool = pool.expect("a problem with a switching route names its pool");
                 Box::new(SketchSwitch::new(pooled(split(plan.lambda)), pool, seed))
             }
-            Strategy::ComputationPaths => {
-                let config = ComputationPathsConfig::from_plan(&plan);
-                let delta0 = config.required_delta_clamped().max(PRACTICAL_DELTA_FLOOR);
-                Box::new(ComputationPaths::new(&single(delta0), config, seed))
-            }
+            Strategy::ComputationPaths => return self.computation_paths(plan, single),
             Strategy::Crypto(backend) => {
                 let factory = MedianTrackingFactory {
                     inner: KmvFactory {
@@ -649,7 +600,31 @@ impl RobustBuilder {
                 Box::new(DifferenceEstimators::new(&factory, schedule, seed))
             }
         };
-        Robustify::new(core, plan)
+        Robustify::try_new(core, plan)
+    }
+
+    /// The computation-paths route (Lemma 3.8): one copy from `single` at
+    /// the union-bound δ₀, floored at the practical δ floor.
+    fn computation_paths<S>(
+        &self,
+        plan: RobustPlan,
+        single: impl FnOnce(f64) -> S,
+    ) -> Result<DynRobust, ArsError>
+    where
+        S: EstimatorFactory,
+        S::Output: Send + 'static,
+    {
+        /// Practical floor for the computation-paths per-path failure
+        /// probability: the theoretical δ₀ underflows `f64` and would make
+        /// the static sketch enormous, so the route floors it here and
+        /// experiments report the theoretical exponent alongside.
+        const PRACTICAL_DELTA_FLOOR: f64 = 1e-12;
+
+        let config = ComputationPathsConfig::from_plan(&plan);
+        let delta0 = config.required_delta_clamped().max(PRACTICAL_DELTA_FLOOR);
+        let core: Box<dyn StrategyCore + Send> =
+            Box::new(ComputationPaths::new(&single(delta0), config, self.seed));
+        Robustify::try_new(core, plan)
     }
 
     fn ensure_paths(&self, problem: &'static str) -> Result<(), BuildError> {
@@ -684,23 +659,34 @@ mod tests {
             .max_frequency(1 << 10)
             .seed(5);
         let estimators: Vec<Box<dyn RobustEstimator>> = vec![
-            Box::new(builder.f0()),
-            Box::new(builder.strategy(Strategy::ComputationPaths).f0()),
-            Box::new(builder.strategy(Strategy::DpAggregation).f0()),
-            Box::new(builder.strategy(Strategy::DpAggregation).fp(2.0)),
-            Box::new(builder.strategy(Strategy::DifferenceEstimators).f0()),
-            Box::new(builder.strategy(Strategy::DifferenceEstimators).fp(2.0)),
-            Box::new(builder.fp(1.0)),
-            Box::new(builder.fp(2.0)),
-            Box::new(builder.fp_large(3.0)),
-            Box::new(builder.turnstile_fp(2.0, 200)),
-            Box::new(builder.bounded_deletion_fp(1.0, 2.0)),
-            Box::new(builder.entropy()),
-            Box::new(builder.heavy_hitters()),
+            Box::new(builder.f0().unwrap()),
+            Box::new(builder.strategy(Strategy::ComputationPaths).f0().unwrap()),
+            Box::new(builder.strategy(Strategy::DpAggregation).f0().unwrap()),
+            Box::new(builder.strategy(Strategy::DpAggregation).fp(2.0).unwrap()),
+            Box::new(
+                builder
+                    .strategy(Strategy::DifferenceEstimators)
+                    .f0()
+                    .unwrap(),
+            ),
+            Box::new(
+                builder
+                    .strategy(Strategy::DifferenceEstimators)
+                    .fp(2.0)
+                    .unwrap(),
+            ),
+            Box::new(builder.fp(1.0).unwrap()),
+            Box::new(builder.fp(2.0).unwrap()),
+            Box::new(builder.fp_large(3.0).unwrap()),
+            Box::new(builder.turnstile_fp(2.0, 200).unwrap()),
+            Box::new(builder.bounded_deletion_fp(1.0, 2.0).unwrap()),
+            Box::new(builder.entropy().unwrap()),
+            Box::new(builder.heavy_hitters().unwrap()),
             Box::new(
                 builder
                     .strategy(Strategy::Crypto(CryptoBackend::default()))
-                    .f0(),
+                    .f0()
+                    .unwrap(),
             ),
         ];
         for mut estimator in estimators {
@@ -717,13 +703,14 @@ mod tests {
     fn strategy_selection_reaches_the_engine() {
         let builder = RobustBuilder::new(0.2).stream_length(1_000).domain(1 << 10);
         assert_eq!(
-            builder.f0().strategy_name(),
+            builder.f0().unwrap().strategy_name(),
             "sketch-switching (restarting)"
         );
         assert_eq!(
             builder
                 .strategy(Strategy::ComputationPaths)
                 .f0()
+                .unwrap()
                 .strategy_name(),
             "computation-paths"
         );
@@ -731,6 +718,7 @@ mod tests {
             builder
                 .strategy(Strategy::Crypto(CryptoBackend::RandomOracle))
                 .f0()
+                .unwrap()
                 .strategy_name(),
             "crypto-mask"
         );
@@ -738,6 +726,7 @@ mod tests {
             builder
                 .strategy(Strategy::DpAggregation)
                 .f0()
+                .unwrap()
                 .strategy_name(),
             "dp-aggregation"
         );
@@ -745,6 +734,7 @@ mod tests {
             builder
                 .strategy(Strategy::DifferenceEstimators)
                 .f0()
+                .unwrap()
                 .strategy_name(),
             "difference-estimators"
         );
@@ -770,10 +760,11 @@ mod tests {
             Strategy::DpAggregation,
             Strategy::DifferenceEstimators,
         ] {
-            let pool = Some(SketchSwitchConfig::restarting(0.2));
+            let pool = SketchSwitchConfig::restarting(0.2);
             let plan = RobustPlan::new(0.2, 500);
-            let mut robust =
-                builder.route(strategy, plan, pool, |_| kmv_factory(), |_| kmv_factory());
+            let mut robust = builder
+                .route(strategy, plan, pool, |_| kmv_factory(), |_| kmv_factory())
+                .unwrap();
             for i in 0..2_000u64 {
                 robust.insert(i % 700);
             }
@@ -810,9 +801,11 @@ mod tests {
                 seen.set(delta);
                 kmv_factory()
             };
-            let pool = Some(SketchSwitchConfig::exhaustible(0.2, 7));
+            let pool = SketchSwitchConfig::exhaustible(0.2, 7);
             let plan = RobustPlan::new(0.2, lambda);
-            let robust = builder.route(strategy, plan, pool, pooled, |_| kmv_factory());
+            let robust = builder
+                .route(strategy, plan, pool, pooled, |_| kmv_factory())
+                .unwrap();
             assert_eq!(seen.get(), 0.01 / split as f64, "{strategy:?}");
             assert_eq!(RobustEstimator::copies(&robust), copies, "{strategy:?}");
         }
@@ -824,7 +817,8 @@ mod tests {
             let mut robust = RobustBuilder::new(0.2)
                 .strategy(Strategy::Crypto(backend))
                 .seed(7)
-                .f0();
+                .f0()
+                .unwrap();
             for i in 0..5_000u64 {
                 robust.insert(i);
             }
@@ -843,7 +837,10 @@ mod tests {
             .domain(1 << 12);
         let lambda = builder.f0_flip_number();
         let schedule = DifferenceSchedule::for_flip_budget(lambda);
-        let de = builder.strategy(Strategy::DifferenceEstimators).f0();
+        let de = builder
+            .strategy(Strategy::DifferenceEstimators)
+            .f0()
+            .unwrap();
         assert_eq!(RobustEstimator::copies(&de), schedule.chunks());
         assert!(
             RobustEstimator::copies(&de) < DpAggregationConfig::copies_for_flip_budget(lambda),
@@ -856,7 +853,10 @@ mod tests {
         );
         assert!(RobustEstimator::flip_budget(&de) >= lambda);
         // The same accounting holds for the Fp route.
-        let de2 = builder.strategy(Strategy::DifferenceEstimators).fp(2.0);
+        let de2 = builder
+            .strategy(Strategy::DifferenceEstimators)
+            .fp(2.0)
+            .unwrap();
         let fp_schedule = DifferenceSchedule::for_flip_budget(builder.fp_flip_number(2.0));
         assert_eq!(RobustEstimator::copies(&de2), fp_schedule.chunks());
     }
@@ -864,17 +864,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "sketch switching only")]
     fn rejects_difference_estimators_for_entropy() {
-        let _ = RobustBuilder::new(0.1)
+        RobustBuilder::new(0.1)
             .strategy(Strategy::DifferenceEstimators)
-            .entropy();
+            .entropy()
+            .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "computation paths only")]
     fn rejects_difference_estimators_for_turnstile() {
-        let _ = RobustBuilder::new(0.1)
+        RobustBuilder::new(0.1)
             .strategy(Strategy::DifferenceEstimators)
-            .turnstile_fp(2.0, 10);
+            .turnstile_fp(2.0, 10)
+            .unwrap();
     }
 
     #[test]
@@ -883,7 +885,7 @@ mod tests {
             .stream_length(2_000)
             .domain(1 << 12);
         let lambda = builder.f0_flip_number();
-        let dp = builder.strategy(Strategy::DpAggregation).f0();
+        let dp = builder.strategy(Strategy::DpAggregation).f0().unwrap();
         let copies = RobustEstimator::copies(&dp);
         assert_eq!(copies, DpAggregationConfig::copies_for_flip_budget(lambda));
         assert!(
@@ -897,12 +899,13 @@ mod tests {
         // The preset must equal the explicit Theorem 10.1 configuration:
         // delta = 1/4 and the default crypto backend, hence the same
         // tracking ensemble under the same seed.
-        let preset = RobustBuilder::theorem_10_1(0.1).seed(3).f0();
+        let preset = RobustBuilder::theorem_10_1(0.1).seed(3).f0().unwrap();
         let explicit = RobustBuilder::new(0.1)
             .delta(0.25)
             .strategy(Strategy::Crypto(CryptoBackend::default()))
             .seed(3)
-            .f0();
+            .f0()
+            .unwrap();
         assert_eq!(preset.strategy_name(), "crypto-mask");
         assert_eq!(preset.space_bytes(), explicit.space_bytes());
         // The preset pins delta = 1/4, against the shared default of 1e-3
@@ -917,17 +920,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "sketch switching only")]
     fn rejects_dp_aggregation_for_heavy_hitters() {
-        let _ = RobustBuilder::new(0.1)
+        RobustBuilder::new(0.1)
             .strategy(Strategy::DpAggregation)
-            .heavy_hitters();
+            .heavy_hitters()
+            .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "computation paths only")]
     fn rejects_dp_aggregation_for_fp_large() {
-        let _ = RobustBuilder::new(0.1)
+        RobustBuilder::new(0.1)
             .strategy(Strategy::DpAggregation)
-            .fp_large(3.0);
+            .fp_large(3.0)
+            .unwrap();
     }
 
     #[test]
@@ -943,20 +948,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "epsilon must be in (0,1)")]
+    #[should_panic(expected = "field: \"epsilon\"")]
     fn rejects_bad_epsilon() {
-        let _ = RobustBuilder::new(1.5);
+        RobustBuilder::new(1.5).fp(2.0).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "epsilon must be in (0,1)")]
+    #[should_panic(expected = "field: \"epsilon\"")]
     fn f0_builder_rejects_bad_epsilon() {
-        let _ = RobustBuilder::new(1.5).f0();
+        RobustBuilder::new(1.5).f0().unwrap();
     }
 
     #[test]
     fn f0_engine_implements_the_estimator_trait() {
-        let mut robust = RobustBuilder::new(0.3).seed(11).f0();
+        let mut robust = RobustBuilder::new(0.3).seed(11).f0().unwrap();
         for i in 0..500u64 {
             Estimator::update(&mut robust, Update::insert(i));
         }
@@ -969,7 +974,8 @@ mod tests {
         let mut robust = RobustBuilder::new(0.15)
             .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
             .seed(3)
-            .f0();
+            .f0()
+            .unwrap();
         for i in 0..3_000u64 {
             robust.insert(i % 1_000);
         }
@@ -979,25 +985,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "delta must be in (0,1)")]
+    #[should_panic(expected = "field: \"delta\"")]
     fn rejects_bad_delta() {
-        let _ = RobustBuilder::new(0.1).delta(0.0);
+        RobustBuilder::new(0.1).delta(0.0).f0().unwrap();
     }
 
     #[test]
     #[should_panic(expected = "no crypto route for Fp")]
     fn rejects_crypto_for_fp() {
-        let _ = RobustBuilder::new(0.1)
+        RobustBuilder::new(0.1)
             .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-            .fp(2.0);
+            .fp(2.0)
+            .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "computation paths only")]
     fn rejects_switching_for_turnstile() {
-        let _ = RobustBuilder::new(0.1)
+        RobustBuilder::new(0.1)
             .strategy(Strategy::SketchSwitching)
-            .turnstile_fp(2.0, 10);
+            .turnstile_fp(2.0, 10)
+            .unwrap();
     }
 
     // ------------------------------------------------------------------
@@ -1011,7 +1019,8 @@ mod tests {
             .stream_length(40_000)
             .domain(1 << 18)
             .seed(seed)
-            .f0();
+            .f0()
+            .unwrap();
         let updates = UniformGenerator::new(1 << 18, seed).take_updates(40_000);
         let mut truth = FrequencyVector::new();
         let mut worst: f64 = 0.0;
@@ -1040,7 +1049,7 @@ mod tests {
 
     #[test]
     fn plateauing_streams_stabilize_the_output() {
-        let mut robust = RobustBuilder::new(0.1).seed(7).f0();
+        let mut robust = RobustBuilder::new(0.1).seed(7).f0().unwrap();
         for u in SlidingDistinctGenerator::new(2_000, 9).take_updates(20_000) {
             robust.update(u);
         }
@@ -1060,7 +1069,7 @@ mod tests {
     fn builder_reports_flip_number_and_epsilon() {
         let builder = RobustBuilder::new(0.1).domain(1 << 16);
         assert!(builder.f0_flip_number() > 100);
-        let robust = builder.f0();
+        let robust = builder.f0().unwrap();
         assert_eq!(robust.epsilon(), 0.1);
         assert!(robust.space_bytes() > 0);
     }
@@ -1072,7 +1081,8 @@ mod tests {
                 .strategy(Strategy::Crypto(backend))
                 .stream_length(30_000)
                 .seed(3)
-                .f0();
+                .f0()
+                .unwrap();
             let updates = UniformGenerator::new(1 << 16, 5).take_updates(30_000);
             let mut truth = FrequencyVector::new();
             let mut worst: f64 = 0.0;
@@ -1093,7 +1103,7 @@ mod tests {
         // The key property the Theorem 10.1 proof uses: repeats leave the
         // state unchanged, so an adversary replaying old items learns
         // nothing and changes nothing.
-        let mut robust = RobustBuilder::theorem_10_1(0.1).seed(7).f0();
+        let mut robust = RobustBuilder::theorem_10_1(0.1).seed(7).f0().unwrap();
         for i in 0..2_000u64 {
             robust.insert(i);
         }
@@ -1111,7 +1121,10 @@ mod tests {
         use ars_sketch::kmv::{KmvConfig, KmvFactory};
         use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
 
-        let robust = RobustBuilder::theorem_10_1(0.1).stream_length(1 << 16).f0();
+        let robust = RobustBuilder::theorem_10_1(0.1)
+            .stream_length(1 << 16)
+            .f0()
+            .unwrap();
         let static_sketch = MedianTrackingFactory {
             inner: KmvFactory {
                 config: KmvConfig::for_accuracy(0.05),
@@ -1127,7 +1140,7 @@ mod tests {
 
     #[test]
     fn deletions_are_ignored() {
-        let mut robust = RobustBuilder::theorem_10_1(0.2).seed(9).f0();
+        let mut robust = RobustBuilder::theorem_10_1(0.2).seed(9).f0().unwrap();
         robust.insert(1);
         robust.update(Update::delete(1));
         assert_eq!(robust.estimate(), 1.0);
@@ -1135,8 +1148,8 @@ mod tests {
 
     #[test]
     fn different_keys_give_different_internal_views_but_same_answers() {
-        let mut a = RobustBuilder::theorem_10_1(0.1).seed(1).f0();
-        let mut b = RobustBuilder::theorem_10_1(0.1).seed(2).f0();
+        let mut a = RobustBuilder::theorem_10_1(0.1).seed(1).f0().unwrap();
+        let mut b = RobustBuilder::theorem_10_1(0.1).seed(2).f0().unwrap();
         for i in 0..5_000u64 {
             a.insert(i);
             b.insert(i);
@@ -1147,7 +1160,7 @@ mod tests {
 
     #[test]
     fn raw_publication_reports_no_flip_budget() {
-        let robust = RobustBuilder::theorem_10_1(0.2).f0();
+        let robust = RobustBuilder::theorem_10_1(0.2).f0().unwrap();
         assert_eq!(robust.flip_budget(), usize::MAX);
         assert!(!robust.budget_exceeded());
     }
@@ -1165,7 +1178,8 @@ mod tests {
             .domain(1 << 12)
             .max_frequency(1 << 16)
             .seed(seed)
-            .fp(p);
+            .fp(p)
+            .unwrap();
         let updates = ZipfGenerator::new(1 << 12, 1.1, seed).take_updates(m);
         let mut truth = FrequencyVector::new();
         let mut worst: f64 = 0.0;
@@ -1205,7 +1219,8 @@ mod tests {
             .domain(1 << 12)
             .stream_length(20_000)
             .seed(11)
-            .fp_large(p);
+            .fp_large(p)
+            .unwrap();
         let updates = ZipfGenerator::new(1 << 12, 1.4, 11).take_updates(20_000);
         let mut truth = FrequencyVector::new();
         let mut worst: f64 = 0.0;
@@ -1232,10 +1247,11 @@ mod tests {
     fn space_reflects_the_method_tradeoff() {
         // Sketch switching keeps many copies; computation paths keeps one
         // (larger) copy. Both must at least report non-trivial space.
-        let switching = RobustBuilder::new(0.3).fp(2.0);
+        let switching = RobustBuilder::new(0.3).fp(2.0).unwrap();
         let paths = RobustBuilder::new(0.3)
             .strategy(Strategy::ComputationPaths)
-            .fp(2.0);
+            .fp(2.0)
+            .unwrap();
         assert!(switching.space_bytes() > 1_000);
         assert!(paths.space_bytes() > 1_000);
     }
@@ -1243,13 +1259,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "use fp_large for p > 2")]
     fn robust_fp_rejects_large_p() {
-        let _ = RobustBuilder::new(0.1).fp(3.0);
+        RobustBuilder::new(0.1).fp(3.0).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "use fp for p <= 2")]
     fn robust_fp_large_rejects_small_p() {
-        let _ = RobustBuilder::new(0.1).fp_large(2.0);
+        RobustBuilder::new(0.1).fp_large(2.0).unwrap();
     }
 
     #[test]
@@ -1263,7 +1279,8 @@ mod tests {
             .domain(1 << 14)
             .max_frequency(4)
             .seed(3)
-            .turnstile_fp(2.0, lambda);
+            .turnstile_fp(2.0, lambda)
+            .unwrap();
         let updates = TurnstileWaveGenerator::new(3_000).take_updates(12_000);
         let mut truth = FrequencyVector::new();
         let mut worst: f64 = 0.0;
@@ -1285,7 +1302,8 @@ mod tests {
         let mut robust = RobustBuilder::new(0.2)
             .stream_length(10_000)
             .seed(5)
-            .turnstile_fp(2.0, 3);
+            .turnstile_fp(2.0, 3)
+            .unwrap();
         for i in 0..5_000u64 {
             robust.insert(i);
         }
@@ -1299,7 +1317,8 @@ mod tests {
         let mut robust = RobustBuilder::new(0.3)
             .stream_length(1_000)
             .seed(7)
-            .turnstile_fp(2.0, 100);
+            .turnstile_fp(2.0, 100)
+            .unwrap();
         let mut truth = FrequencyVector::new();
         for _ in 0..100 {
             let u = Update::new(1, -1);
@@ -1313,15 +1332,15 @@ mod tests {
 
     #[test]
     fn turnstile_builder_reports_lambda_as_flip_budget() {
-        let robust = RobustBuilder::new(0.2).turnstile_fp(1.0, 50);
+        let robust = RobustBuilder::new(0.2).turnstile_fp(1.0, 50).unwrap();
         assert_eq!(robust.flip_budget(), 50);
         assert!(robust.space_bytes() > 0);
     }
 
     #[test]
-    #[should_panic(expected = "lambda must be in [1, inf)")]
+    #[should_panic(expected = "field: \"lambda\"")]
     fn zero_lambda_is_rejected() {
-        let _ = RobustBuilder::new(0.2).turnstile_fp(1.0, 0);
+        RobustBuilder::new(0.2).turnstile_fp(1.0, 0).unwrap();
     }
 
     #[test]
@@ -1332,7 +1351,8 @@ mod tests {
             .domain(1 << 14)
             .max_frequency(4)
             .seed(3)
-            .bounded_deletion_fp(1.0, alpha);
+            .bounded_deletion_fp(1.0, alpha)
+            .unwrap();
         let updates = BoundedDeletionGenerator::new(alpha, 500, 7).take_updates(15_000);
         // Confirm the generator respects the model it claims.
         StreamValidator::new(StreamModel::bounded_deletion(alpha, 1.0))
@@ -1359,7 +1379,8 @@ mod tests {
             .domain(1 << 14)
             .max_frequency(4)
             .seed(5)
-            .bounded_deletion_fp(2.0, alpha);
+            .bounded_deletion_fp(2.0, alpha)
+            .unwrap();
         let updates = BoundedDeletionGenerator::new(alpha, 400, 11).take_updates(12_000);
         let mut truth = FrequencyVector::new();
         let mut worst: f64 = 0.0;
@@ -1391,7 +1412,8 @@ mod tests {
             .domain(1 << 12)
             .max_frequency(4)
             .seed(13)
-            .bounded_deletion_fp(1.0, alpha);
+            .bounded_deletion_fp(1.0, alpha)
+            .unwrap();
         for u in BoundedDeletionGenerator::new(alpha, 300, 17).take_updates(10_000) {
             robust.update(u);
         }
@@ -1406,6 +1428,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "Theorem 8.3")]
     fn rejects_p_outside_range() {
-        let _ = RobustBuilder::new(0.1).bounded_deletion_fp(0.5, 2.0);
+        RobustBuilder::new(0.1)
+            .bounded_deletion_fp(0.5, 2.0)
+            .unwrap();
     }
 }

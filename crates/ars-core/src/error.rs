@@ -8,9 +8,8 @@
 //! recoverable errors instead; this module is that vocabulary:
 //!
 //! * [`BuildError`] — structured builder/parameter validation (field,
-//!   value, allowed range), produced by the `try_*` constructors on
-//!   [`crate::builder::RobustBuilder`]. The panicking constructors remain
-//!   as thin wrappers that `panic!("{error}")`.
+//!   value, allowed range), returned by every problem constructor on
+//!   [`crate::builder::RobustBuilder`].
 //! * [`ArsError`] — the top-level error: a build failure, a stream-model
 //!   violation (wrapping [`ars_stream::StreamError`], raised by
 //!   [`crate::session::StreamSession`] at ingestion), or flip-budget
@@ -57,9 +56,6 @@ impl BuildError {
 }
 
 impl fmt::Display for BuildError {
-    // Several #[should_panic] tests match substrings of these messages
-    // through the panicking builder wrappers — e.g. "epsilon must be in
-    // (0,1)" — so reword with care.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::OutOfRange {

@@ -47,7 +47,7 @@
 //!   serving surface: [`estimate::Estimate`] readings (value, guarantee
 //!   interval, flip accounting, [`estimate::Health`]) from
 //!   [`api::RobustEstimator::query`], typed [`error::ArsError`] failures
-//!   from the fallible `try_*` builder and ingestion paths, the
+//!   from the builder's problem constructors and the ingestion paths, the
 //!   [`session::StreamSession`] driver that enforces the declared
 //!   [`ars_stream::StreamModel`] on every update (at the cheapest
 //!   [`ars_stream::ValidationTier`] the model admits), and the
@@ -61,11 +61,11 @@
 //! use ars_core::{ArsError, Health, RobustBuilder, RobustEstimator, StreamSession, Strategy};
 //! use ars_stream::{StreamModel, Update};
 //!
-//! // One builder for every problem (each constructor has a fallible
-//! // `try_*` twin returning `ArsError` instead of panicking).
+//! // One builder for every problem; each constructor returns `ArsError`
+//! // on out-of-range parameters instead of panicking.
 //! let builder = RobustBuilder::new(0.2).stream_length(10_000).seed(7);
-//! let f0 = builder.f0();                                        // Thm 1.1
-//! let mut f2 = builder.strategy(Strategy::ComputationPaths).fp(2.0); // Thm 1.5
+//! let f0 = builder.f0()?;                                        // Thm 1.1
+//! let f2 = builder.strategy(Strategy::ComputationPaths).fp(2.0)?; // Thm 1.5
 //!
 //! // The serving surface: a session enforcing the promised stream model,
 //! // answering typed readings instead of bare floats.
@@ -88,13 +88,14 @@
 //!     estimator.update_batch(&batch);
 //!     assert!(estimator.query().value > 0.0);
 //! }
+//! # Ok::<(), ArsError>(())
 //! ```
 //!
 //! # Paper map
 //!
 //! Every scalar problem is one [`builder::RobustBuilder`] constructor
-//! returning the engine type [`engine::DynRobust`]; the strategy knob
-//! picks the route.
+//! returning the engine type [`engine::DynRobust`] (or a typed
+//! [`error::BuildError`]); the strategy knob picks the route.
 //!
 //! | Paper result | Constructor |
 //! |---|---|

@@ -145,8 +145,16 @@ impl std::fmt::Debug for RegistryEntry {
     }
 }
 
+/// Why the constructors in [`standard_registry`] succeed: every
+/// per-problem parameter there is fixed in range, which leaves ε and δ.
+const IN_RANGE: &str = "registry parameters take epsilon and delta in (0, 1)";
+
 /// Builds the full standard registry: every problem × every strategy the
 /// paper gives for it.
+///
+/// # Panics
+///
+/// If `params.epsilon` or `params.delta` lies outside `(0, 1)`.
 #[must_use]
 pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
     let eps = params.epsilon;
@@ -162,7 +170,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         workload: uniform.clone(),
         error_budget: eps * 1.3,
         min_truth: 200.0,
-        estimator: Box::new(params.builder(1).f0()),
+        estimator: Box::new(params.builder(1).f0().expect(IN_RANGE)),
     }];
     entries.push(RegistryEntry {
         id: "f0/computation-paths",
@@ -173,7 +181,13 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         workload: uniform.clone(),
         error_budget: eps * 1.3,
         min_truth: 200.0,
-        estimator: Box::new(params.builder(2).strategy(Strategy::ComputationPaths).f0()),
+        estimator: Box::new(
+            params
+                .builder(2)
+                .strategy(Strategy::ComputationPaths)
+                .f0()
+                .expect(IN_RANGE),
+        ),
     });
     entries.push(RegistryEntry {
         id: "f0/crypto-chacha",
@@ -188,7 +202,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             params
                 .builder(3)
                 .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                .f0(),
+                .f0()
+                .expect(IN_RANGE),
         ),
     });
     entries.push(RegistryEntry {
@@ -204,7 +219,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             params
                 .builder(4)
                 .strategy(Strategy::Crypto(CryptoBackend::RandomOracle))
-                .f0(),
+                .f0()
+                .expect(IN_RANGE),
         ),
     });
 
@@ -220,7 +236,13 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         // budget is wider than the switching routes'.
         error_budget: eps * 2.0,
         min_truth: 300.0,
-        estimator: Box::new(params.builder(5).strategy(Strategy::DpAggregation).f0()),
+        estimator: Box::new(
+            params
+                .builder(5)
+                .strategy(Strategy::DpAggregation)
+                .f0()
+                .expect(IN_RANGE),
+        ),
     });
 
     entries.push(RegistryEntry {
@@ -239,7 +261,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             params
                 .builder(6)
                 .strategy(Strategy::DifferenceEstimators)
-                .f0(),
+                .f0()
+                .expect(IN_RANGE),
         ),
     });
 
@@ -257,7 +280,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             workload: uniform.clone(),
             error_budget: eps * 1.6,
             min_truth: 500.0,
-            estimator: Box::new(params.builder(offset).fp(p)),
+            estimator: Box::new(params.builder(offset).fp(p).expect(IN_RANGE)),
         });
         entries.push(RegistryEntry {
             id: if p == 1.0 {
@@ -276,7 +299,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
                 params
                     .builder(offset + 10)
                     .strategy(Strategy::ComputationPaths)
-                    .fp(p),
+                    .fp(p)
+                    .expect(IN_RANGE),
             ),
         });
         entries.push(RegistryEntry {
@@ -296,7 +320,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
                 params
                     .builder(offset + 70)
                     .strategy(Strategy::DpAggregation)
-                    .fp(p),
+                    .fp(p)
+                    .expect(IN_RANGE),
             ),
         });
         entries.push(RegistryEntry {
@@ -316,7 +341,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
                 params
                     .builder(offset + 80)
                     .strategy(Strategy::DifferenceEstimators)
-                    .fp(p),
+                    .fp(p)
+                    .expect(IN_RANGE),
             ),
         });
     }
@@ -335,7 +361,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         // static ingredient in the crate.
         error_budget: (2.0 * eps).min(0.9),
         min_truth: 5_000.0,
-        estimator: Box::new(params.builder(30).fp_large(3.0)),
+        estimator: Box::new(params.builder(30).fp_large(3.0).expect(IN_RANGE)),
     });
 
     let wave = params.turnstile_wave_length();
@@ -354,7 +380,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             params
                 .builder(40)
                 .max_frequency(4)
-                .turnstile_fp(2.0, lambda),
+                .turnstile_fp(2.0, lambda)
+                .expect(IN_RANGE),
         ),
     });
 
@@ -375,7 +402,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             params
                 .builder(50)
                 .max_frequency(4)
-                .bounded_deletion_fp(1.0, alpha),
+                .bounded_deletion_fp(1.0, alpha)
+                .expect(IN_RANGE),
         ),
     });
 
@@ -396,7 +424,8 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
             params
                 .builder(60)
                 .entropy_method(EntropyMethod::Sampled)
-                .entropy(),
+                .entropy()
+                .expect(IN_RANGE),
         ),
     });
 
@@ -413,7 +442,7 @@ pub fn standard_registry(params: &RegistryParams) -> Vec<RegistryEntry> {
         },
         error_budget: 0.3f64.max(eps * 1.3),
         min_truth: 30.0,
-        estimator: Box::new(params.builder(70).heavy_hitters()),
+        estimator: Box::new(params.builder(70).heavy_hitters().expect(IN_RANGE)),
     });
 
     entries

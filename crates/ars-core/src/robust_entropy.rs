@@ -113,7 +113,8 @@ mod tests {
             .stream_length(20_000)
             .domain(64)
             .seed(3)
-            .entropy();
+            .entropy()
+            .unwrap();
         let updates = ZipfGenerator::new(32, 0.01, 7).take_updates(20_000);
         let mut truth = FrequencyVector::new();
         let mut worst: f64 = 0.0;
@@ -134,7 +135,8 @@ mod tests {
             .stream_length(6_000)
             .domain(256)
             .seed(5)
-            .entropy();
+            .entropy()
+            .unwrap();
         let updates = ZipfGenerator::new(256, 1.2, 11).take_updates(6_000);
         let mut truth = FrequencyVector::new();
         for &u in &updates {
@@ -161,7 +163,7 @@ mod tests {
 
     #[test]
     fn empty_stream_has_zero_entropy() {
-        let robust = RobustBuilder::new(0.2).seed(9).entropy();
+        let robust = RobustBuilder::new(0.2).seed(9).entropy().unwrap();
         assert_eq!(robust.estimate(), 0.0);
         assert!(robust.space_bytes() > 0);
     }

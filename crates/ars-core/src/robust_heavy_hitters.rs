@@ -31,6 +31,7 @@ use ars_stream::Update;
 use crate::api::RobustEstimator;
 use crate::builder::{RobustBuilder, Strategy};
 use crate::engine::DynRobust;
+use crate::error::ArsError;
 use crate::flip_number::FlipNumberBound;
 use crate::rounding::EpsilonRounder;
 
@@ -57,7 +58,7 @@ pub struct RobustL2HeavyHitters {
 }
 
 impl RobustL2HeavyHitters {
-    pub(crate) fn from_builder(builder: &RobustBuilder) -> Self {
+    pub(crate) fn from_builder(builder: &RobustBuilder) -> Result<Self, ArsError> {
         let epsilon = builder.epsilon();
         // Pool of Θ(ε^{-1} log ε^{-1}) point-query sketches, as in the
         // optimized construction inside Theorem 6.5.
@@ -81,10 +82,10 @@ impl RobustL2HeavyHitters {
             .max_frequency(stream_length)
             .strategy(Strategy::SketchSwitching)
             .seed(seed)
-            .fp(2.0);
+            .fp(2.0)?;
         let flip_budget =
             FlipNumberBound::monotone(epsilon / 2.0, (stream_length.max(4)) as f64).bound;
-        RobustL2HeavyHitters {
+        Ok(RobustL2HeavyHitters {
             epsilon,
             cs_config,
             norm_estimator,
@@ -95,7 +96,7 @@ impl RobustL2HeavyHitters {
             switches: 0,
             flip_budget,
             next_seed: seed.wrapping_add(7_777),
-        }
+        })
     }
 
     /// Processes one stream update.
@@ -236,6 +237,7 @@ mod tests {
             .stream_length(20_000)
             .seed(seed)
             .heavy_hitters()
+            .unwrap()
     }
 
     #[test]

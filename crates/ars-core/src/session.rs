@@ -25,7 +25,7 @@
 //!
 //! let mut session = StreamSession::new(
 //!     StreamModel::InsertionOnly,
-//!     Box::new(RobustBuilder::new(0.2).stream_length(1_000).f0()),
+//!     Box::new(RobustBuilder::new(0.2).stream_length(1_000).f0()?),
 //! );
 //! for i in 0..100u64 {
 //!     session.update(Update::insert(i)).unwrap();
@@ -37,6 +37,7 @@
 //!     Err(ArsError::Stream(_))
 //! ));
 //! assert_eq!(session.query().health, Health::PromiseViolated);
+//! # Ok::<(), ArsError>(())
 //! ```
 
 use ars_stream::{
@@ -85,12 +86,12 @@ impl StreamSession {
     /// model admits.
     ///
     /// ```
-    /// use ars_core::{Health, RobustBuilder, StreamSession};
+    /// use ars_core::{ArsError, Health, RobustBuilder, StreamSession};
     /// use ars_stream::{StreamModel, ValidationTier};
     ///
     /// let mut session = StreamSession::new(
     ///     StreamModel::InsertionOnly,
-    ///     Box::new(RobustBuilder::new(0.25).stream_length(1_000).domain(1 << 10).f0()),
+    ///     Box::new(RobustBuilder::new(0.25).stream_length(1_000).domain(1 << 10).f0()?),
     /// );
     /// // Insertion-only admits the O(1) stateless fast path.
     /// assert_eq!(session.validator_tier(), ValidationTier::Stateless);
@@ -100,6 +101,7 @@ impl StreamSession {
     /// let reading = session.query();
     /// assert!((reading.value - 200.0).abs() <= 0.25 * 200.0);
     /// assert_eq!(reading.health, Health::WithinGuarantee);
+    /// # Ok::<(), ArsError>(())
     /// ```
     #[must_use]
     pub fn new(model: StreamModel, estimator: Box<dyn RobustEstimator>) -> Self {
@@ -220,7 +222,7 @@ impl StreamSession {
     ///
     /// let mut session = StreamSession::new(
     ///     StreamModel::InsertionOnly,
-    ///     Box::new(RobustBuilder::new(0.2).stream_length(1_000).f0()),
+    ///     Box::new(RobustBuilder::new(0.2).stream_length(1_000).f0()?),
     /// );
     /// // 10 valid insertions, one violating deletion, 5 more insertions.
     /// let mut batch: Vec<Update> = (0..10u64).map(Update::insert).collect();
@@ -241,6 +243,7 @@ impl StreamSession {
     /// // Resume past the refused update at batch[ingested]:
     /// assert_eq!(session.update_batch(&batch[ingested + 1..]).unwrap(), 5);
     /// assert_eq!(session.len(), 15);
+    /// # Ok::<(), ArsError>(())
     /// ```
     pub fn update_batch(&mut self, updates: &[Update]) -> Result<usize, ArsError> {
         for (i, &u) in updates.iter().enumerate() {
@@ -384,7 +387,8 @@ mod tests {
                     .stream_length(10_000)
                     .domain(1 << 12)
                     .seed(5)
-                    .f0(),
+                    .f0()
+                    .unwrap(),
             ),
         )
     }
@@ -501,7 +505,8 @@ mod tests {
             .stream_length(1_000)
             .domain(1 << 8)
             .max_frequency(4)
-            .turnstile_fp(2.0, 50);
+            .turnstile_fp(2.0, 50)
+            .unwrap();
         let mut session =
             StreamSession::new(StreamModel::Turnstile, Box::new(estimator)).with_magnitude_bound(4);
         // The magnitude bound needs the exact vector: the tier upgrades.
@@ -549,7 +554,8 @@ mod tests {
             .stream_length(10_000)
             .domain(1 << 12)
             .seed(99)
-            .f0();
+            .f0()
+            .unwrap();
         let old = session.replace_estimator(Box::new(fresh));
         assert!(old.estimate() > 0.0);
         // History survives the swap: length, exact state, violation flag.

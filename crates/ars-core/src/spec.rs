@@ -11,6 +11,11 @@
 //! restored manager rebuilds the identical estimator (same seed, same
 //! parameters, hence the same deterministic sketch randomness).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::panic, clippy::unwrap_used, clippy::expect_used)
+)]
+
 use ars_stream::StreamModel;
 
 use crate::api::RobustEstimator;
@@ -227,10 +232,11 @@ impl ProvisionerSpec {
         self.problem.model()
     }
 
-    /// The configured [`RobustBuilder`] (not yet bound to a problem).
-    fn builder(&self) -> Result<RobustBuilder, ArsError> {
-        let mut builder = RobustBuilder::try_new(self.epsilon)?
-            .try_delta(self.delta)?
+    /// The configured [`RobustBuilder`] (not yet bound to a problem; the
+    /// problem constructor checks ε and δ).
+    fn builder(&self) -> RobustBuilder {
+        let mut builder = RobustBuilder::new(self.epsilon)
+            .delta(self.delta)
             .stream_length(self.stream_length)
             .domain(self.domain)
             .max_frequency(self.max_frequency)
@@ -238,7 +244,7 @@ impl ProvisionerSpec {
         if let Some(strategy) = self.strategy {
             builder = builder.strategy(strategy);
         }
-        Ok(builder)
+        builder
     }
 
     /// Builds a fresh estimator from the spec. `lambda` is the
@@ -246,19 +252,19 @@ impl ProvisionerSpec {
     /// turnstile route) build at that budget; problems whose λ is analytic
     /// ignore it (a fresh pool with reset flip accounting is the recovery).
     pub fn build(&self, lambda: Option<usize>) -> Result<Box<dyn RobustEstimator>, ArsError> {
-        let builder = self.builder()?;
+        let builder = self.builder();
         Ok(match self.problem {
-            ProblemSpec::F0 => Box::new(builder.try_f0()?),
-            ProblemSpec::Fp { p } => Box::new(builder.try_fp(p)?),
-            ProblemSpec::FpLarge { p } => Box::new(builder.try_fp_large(p)?),
+            ProblemSpec::F0 => Box::new(builder.f0()?),
+            ProblemSpec::Fp { p } => Box::new(builder.fp(p)?),
+            ProblemSpec::FpLarge { p } => Box::new(builder.fp_large(p)?),
             ProblemSpec::TurnstileFp { p, lambda: base } => {
-                Box::new(builder.try_turnstile_fp(p, lambda.unwrap_or(base))?)
+                Box::new(builder.turnstile_fp(p, lambda.unwrap_or(base))?)
             }
             ProblemSpec::BoundedDeletionFp { p, alpha } => {
-                Box::new(builder.try_bounded_deletion_fp(p, alpha)?)
+                Box::new(builder.bounded_deletion_fp(p, alpha)?)
             }
-            ProblemSpec::Entropy => Box::new(builder.try_entropy()?),
-            ProblemSpec::HeavyHitters => Box::new(builder.try_heavy_hitters()?),
+            ProblemSpec::Entropy => Box::new(builder.entropy()?),
+            ProblemSpec::HeavyHitters => Box::new(builder.heavy_hitters()?),
             ProblemSpec::CryptoF0 => {
                 let backend = match self.strategy {
                     None => CryptoBackend::default(),
@@ -273,7 +279,7 @@ impl ProvisionerSpec {
                         .into())
                     }
                 };
-                Box::new(builder.strategy(Strategy::Crypto(backend)).try_f0()?)
+                Box::new(builder.strategy(Strategy::Crypto(backend)).f0()?)
             }
         })
     }

@@ -230,6 +230,18 @@ fn malformed_wire_input_is_a_typed_4xx_never_a_panic() {
     let (status, body) = client::request(addr, "POST", "/restore", "[1,2,3]").unwrap();
     assert_eq!(status, 400, "{body}");
 
+    // A spec that parses but whose p is below the p-stable floor is a
+    // typed build error, refused before anything is built under the fleet
+    // lock.
+    for spec in [
+        r#"{"problem":"fp","epsilon":0.3,"p":0.001}"#,
+        r#"{"problem":"turnstile-fp","epsilon":0.3,"p":0.001,"lambda":8}"#,
+    ] {
+        let (status, body) = client::request(addr, "POST", "/tenants/tiny-p", spec).unwrap();
+        assert_eq!(status, 400, "{spec}: {body}");
+        assert!(body.contains("\"kind\":\"build\""), "{spec}: {body}");
+    }
+
     // After the whole gauntlet the server still serves normal traffic.
     let (status, body) = client::request(addr, "GET", "/health", "").unwrap();
     assert_eq!(status, 200, "{body}");

@@ -152,6 +152,25 @@ impl PStableConfig {
     }
 }
 
+/// The smallest moment order the sketch is offered for.
+///
+/// The Chambers–Mallows–Stuck transform is `a·b` with
+/// `a = sin(pθ) / cos(θ)^{1/p}` and `b = (cos((1 − p)θ) / w)^{(1−p)/p}`.
+/// On the clamped inputs (`u₁, u₂ ∈ [10⁻¹², 1 − 10⁻¹²]`) its magnitude
+/// peaks at the corner `θ → ±π/2`, `w → 10⁻¹²`, where `cos θ ≈ π·10⁻¹²`
+/// is raised to the power `1/p`. That corner overflows `f64` for
+/// `p < 0.0704`; below it a variate is `±inf` or `NaN`, the calibration
+/// sort has no order and the sketch cannot be built.
+///
+/// The floor is set a little higher, at `p = 0.1`, where the largest
+/// variate is `≈ 9.4·10²¹⁴`. That leaves a factor `≈ 1.9·10⁹³` to
+/// `f64::MAX`, more than `Σ|Δ|` can reach (`2¹²⁷` for `2⁶⁴` updates of
+/// `|Δ| ≤ 2⁶³`), so no counter `Σ Δ·X` overflows either. (At `p = 0.08`
+/// the largest variate is `≈ 3.2·10²⁷⁰` and that margin is gone.) A
+/// documented constant substitution: the paper's `F_p` results cover every
+/// `p ∈ (0, 2]`.
+pub const MIN_P: f64 = 0.1;
+
 /// Generates a standard p-stable variate from two uniforms in `(0, 1)` via
 /// the Chambers–Mallows–Stuck transform.
 #[must_use]
@@ -433,13 +452,25 @@ mod tests {
 
     #[test]
     fn cms_variates_are_finite() {
-        for p in [0.5, 1.0, 1.5, 2.0] {
+        for p in [MIN_P, 0.5, 1.0, 1.5, 2.0] {
             let mut rng = StdRng::seed_from_u64(1);
             for _ in 0..10_000 {
                 let x = cms_pstable(p, rng.gen(), rng.gen());
                 assert!(x.is_finite(), "p={p} produced a non-finite variate");
             }
+            // The clamp's corners, where the variates are largest. At the
+            // floor the largest leaves room for any counter.
+            let edges = [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0];
+            for u1 in edges {
+                for u2 in edges {
+                    let x = cms_pstable(p, u1, u2);
+                    assert!(x.abs() < 1e216, "p={p} at ({u1}, {u2}): {x}");
+                }
+            }
         }
+        // Just below the overflow bound the corner is no longer finite,
+        // which is why the floor sits above it.
+        assert!(!cms_pstable(0.07, 1e-12, 1.0 - 1e-12).is_finite());
     }
 
     #[test]

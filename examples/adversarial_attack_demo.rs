@@ -9,12 +9,12 @@
 //! Run with: `cargo run --release --example adversarial_attack_demo`
 
 use adversarial_robust_streaming::adversary::{Adversary, AmsAttackAdversary};
-use adversarial_robust_streaming::robust::{RobustBuilder, StreamSession};
+use adversarial_robust_streaming::robust::{ArsError, RobustBuilder, StreamSession};
 use adversarial_robust_streaming::sketch::ams::{AmsConfig, AmsSketch};
 use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::{FrequencyVector, StreamModel};
 
-fn main() {
+fn main() -> Result<(), ArsError> {
     let rows = 64;
     let rounds = 50 * rows;
 
@@ -59,7 +59,7 @@ fn main() {
             RobustBuilder::new(epsilon)
                 .stream_length(rounds as u64)
                 .seed(11)
-                .fp(2.0),
+                .fp(2.0)?,
         ),
     );
     let mut adversary = AmsAttackAdversary::new(rows, 13);
@@ -95,4 +95,5 @@ fn main() {
         worst
     );
     println!("  memory: {} KiB", session.estimator().space_bytes() / 1024);
+    Ok(())
 }

@@ -15,7 +15,7 @@ use adversarial_robust_streaming::stream::{FrequencyVector, StreamModel, StreamV
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), ArsError> {
     let epsilon = 0.1;
     let domain: u64 = 1 << 16; // flow identifiers
     let rounds = 30_000usize;
@@ -24,7 +24,7 @@ fn main() {
         .domain(domain)
         .stream_length(rounds as u64)
         .seed(3)
-        .heavy_hitters();
+        .heavy_hitters()?;
 
     let mut rng = StdRng::seed_from_u64(17);
     let mut exact = FrequencyVector::new();
@@ -99,4 +99,5 @@ fn main() {
             exact.get(*flow)
         );
     }
+    Ok(())
 }

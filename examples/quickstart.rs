@@ -9,18 +9,17 @@ use adversarial_robust_streaming::robust::{ArsError, RobustBuilder, StreamSessio
 use adversarial_robust_streaming::stream::generator::{Generator, UniformGenerator};
 use adversarial_robust_streaming::stream::{StreamModel, Update};
 
-fn main() {
+fn main() -> Result<(), ArsError> {
     // A (1 ± 0.1) adversarially robust distinct-elements estimator
     // (Theorem 1.1: optimized sketch switching over a strong-tracking KMV
     // ensemble). The same builder constructs every other robust estimator
     // in the crate: `.fp(p)`, `.entropy()`, `.heavy_hitters()`, ... and
-    // every constructor has a fallible `try_*` twin returning `ArsError`
-    // instead of panicking on bad parameters.
+    // every constructor returns `ArsError` on out-of-range parameters.
     let robust = RobustBuilder::new(0.1)
         .stream_length(50_000)
         .domain(1 << 20)
         .seed(7)
-        .f0();
+        .f0()?;
 
     // The session enforces the stream model the guarantee assumes
     // (insertion-only here) on every update: a violating update is refused
@@ -88,7 +87,7 @@ fn main() {
                 .stream_length(50_000)
                 .domain(1 << 20)
                 .seed(7)
-                .f0(),
+                .f0()?,
         ),
     );
     let updates = UniformGenerator::new(1 << 20, 42).take_updates(50_000);
@@ -109,4 +108,5 @@ fn main() {
         session.validator_bytes() / 1024,
         session.validator_tier(),
     );
+    Ok(())
 }

@@ -16,7 +16,9 @@
 //!
 //! Run with: `cargo run --release --example robust_distinct_counting`
 
-use adversarial_robust_streaming::robust::{CryptoBackend, RobustBuilder, Strategy, StreamSession};
+use adversarial_robust_streaming::robust::{
+    ArsError, CryptoBackend, RobustBuilder, Strategy, StreamSession,
+};
 use adversarial_robust_streaming::sketch::kmv::{KmvConfig, KmvSketch};
 use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::StreamModel;
@@ -85,7 +87,7 @@ fn run(label: &str, estimator: &mut dyn Estimator, rounds: usize, seed: u64) {
     );
 }
 
-fn main() {
+fn main() -> Result<(), ArsError> {
     let rounds = 40_000;
     println!("Query-optimizer cardinality estimation with workload feedback ({rounds} inserts)\n");
 
@@ -101,7 +103,7 @@ fn main() {
         ),
         (
             "robust F0 (sketch switching, Thm 1.1)",
-            Box::new(builder.seed(5).f0()),
+            Box::new(builder.seed(5).f0()?),
         ),
         (
             "robust F0 (ChaCha PRF, Thm 10.1)",
@@ -109,7 +111,7 @@ fn main() {
                 builder
                     .seed(9)
                     .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                    .f0(),
+                    .f0()?,
             ),
         ),
     ];
@@ -127,7 +129,7 @@ fn main() {
     let sessions: Vec<(&str, StreamSession)> = vec![
         (
             "robust F0 (sketch switching, Thm 1.1)",
-            StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.seed(5).f0())),
+            StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.seed(5).f0()?)),
         ),
         (
             "robust F0 (ChaCha PRF, Thm 10.1)",
@@ -137,7 +139,7 @@ fn main() {
                     builder
                         .seed(9)
                         .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                        .f0(),
+                        .f0()?,
                 ),
             ),
         ),
@@ -158,4 +160,5 @@ fn main() {
     println!("The static sketch's error can drift once the workload correlates with its");
     println!("answers; the robust estimators keep the tracking guarantee (and the PRF");
     println!("variant does so at essentially the static sketch's memory cost).");
+    Ok(())
 }

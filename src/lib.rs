@@ -39,7 +39,9 @@
 //!
 //! # Quickstart
 //!
-//! One builder constructs every robust estimator; the serving surface is a
+//! One builder constructs every robust estimator, and each constructor
+//! returns a typed [`robust::ArsError`] for out-of-range parameters; the
+//! serving surface is a
 //! model-enforcing [`robust::StreamSession`] answering typed
 //! [`robust::Estimate`] readings, and every estimator is drivable through
 //! the object-safe [`robust::RobustEstimator`] trait:
@@ -53,7 +55,7 @@
 //! let builder = RobustBuilder::new(0.1).stream_length(10_000).seed(7);
 //! let mut session = StreamSession::new(
 //!     StreamModel::InsertionOnly,
-//!     Box::new(builder.f0()), // Theorem 1.1; .fp(p), .entropy(), ... likewise
+//!     Box::new(builder.f0()?), // Theorem 1.1; .fp(p)?, .entropy()?, ... likewise
 //! );
 //! for i in 0..1_000u64 {
 //!     session.insert(i % 250).unwrap();
@@ -70,14 +72,15 @@
 //! // batched hot path to amortize the robustness bookkeeping:
 //! let batch: Vec<Update> = (0..1_000u64).map(|i| Update::insert(i % 250)).collect();
 //! let mut fleet: Vec<Box<dyn RobustEstimator>> = vec![
-//!     Box::new(builder.f0()),
-//!     Box::new(builder.strategy(Strategy::ComputationPaths).f0()),
-//!     Box::new(builder.fp(2.0)),
+//!     Box::new(builder.f0()?),
+//!     Box::new(builder.strategy(Strategy::ComputationPaths).f0()?),
+//!     Box::new(builder.fp(2.0)?),
 //! ];
 //! for robust in &mut fleet {
 //!     robust.update_batch(&batch);
 //!     assert!(robust.query().value > 0.0);
 //! }
+//! # Ok::<(), ArsError>(())
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

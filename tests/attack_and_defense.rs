@@ -34,7 +34,8 @@ fn ams_is_fooled_but_the_robust_wrapper_is_not() {
             RobustBuilder::new(0.5)
                 .stream_length(ROUNDS as u64)
                 .seed(300 + trial)
-                .fp(2.0),
+                .fp(2.0)
+                .unwrap(),
         );
         let mut adversary = AmsAttackAdversary::new(ROWS, 400 + trial);
         let config = GameConfig::relative(Query::Fp(2.0), 0.5, ROUNDS).with_warmup(1);

@@ -112,13 +112,15 @@ fn raw_mode_batching_is_bitwise_identical() {
         .domain(p.domain)
         .strategy(Strategy::Crypto(CryptoBackend::default()))
         .seed(9)
-        .f0();
+        .f0()
+        .unwrap();
     let mut batched = RobustBuilder::new(p.epsilon)
         .stream_length(p.stream_length)
         .domain(p.domain)
         .strategy(Strategy::Crypto(CryptoBackend::default()))
         .seed(9)
-        .f0();
+        .f0()
+        .unwrap();
     let updates =
         adversarial_robust_streaming::stream::generator::UniformGenerator::new(p.domain, 7)
             .take_updates(p.stream_length as usize);
@@ -174,7 +176,7 @@ fn dp_aggregation_copy_count_grows_as_sqrt_lambda_not_lambda() {
         .domain(p.domain)
         .seed(p.seed);
     let lambda = builder.f0_flip_number();
-    let dp = builder.strategy(Strategy::DpAggregation).f0();
+    let dp = builder.strategy(Strategy::DpAggregation).f0().unwrap();
     assert_eq!(
         RobustEstimator::copies(&dp),
         DpAggregationConfig::copies_for_flip_budget(lambda)
@@ -213,7 +215,10 @@ fn difference_estimator_copy_count_grows_as_log_lambda() {
         .seed(p.seed);
     let lambda = builder.f0_flip_number();
     let schedule = DifferenceSchedule::for_flip_budget(lambda);
-    let de = builder.strategy(Strategy::DifferenceEstimators).f0();
+    let de = builder
+        .strategy(Strategy::DifferenceEstimators)
+        .f0()
+        .unwrap();
     assert_eq!(RobustEstimator::copies(&de), schedule.chunks());
     assert!(
         RobustEstimator::copies(&de) < DpAggregationConfig::copies_for_flip_budget(lambda),
@@ -275,11 +280,13 @@ fn theorem_10_1_preset_reproduces_the_legacy_crypto_sketch() {
         .strategy(Strategy::Crypto(CryptoBackend::default()))
         .stream_length(p.stream_length)
         .seed(9)
-        .f0();
+        .f0()
+        .unwrap();
     let mut preset = RobustBuilder::theorem_10_1(p.epsilon)
         .stream_length(p.stream_length)
         .seed(9)
-        .f0();
+        .f0()
+        .unwrap();
     assert_eq!(legacy.space_bytes(), preset.space_bytes());
     let updates =
         adversarial_robust_streaming::stream::generator::UniformGenerator::new(p.domain, 3)
@@ -383,7 +390,8 @@ fn health_turns_budget_exhausted_exactly_when_budget_exceeded() {
         .stream_length(8_000)
         .domain(1 << 8)
         .max_frequency(64)
-        .turnstile_fp(2.0, 2);
+        .turnstile_fp(2.0, 2)
+        .unwrap();
     let waves = adversarial_robust_streaming::stream::generator::TurnstileWaveGenerator::new(400)
         .take_updates(6_000);
     let mut saw_exhaustion = false;
@@ -453,7 +461,8 @@ fn sessions_expose_the_batched_hot_path_with_validation() {
                 .stream_length(p.stream_length)
                 .domain(p.domain)
                 .seed(11)
-                .f0(),
+                .f0()
+                .unwrap(),
         ),
     )
     // Scoring against ground truth needs the exact vectors the stateless
@@ -478,88 +487,118 @@ fn sessions_expose_the_batched_hot_path_with_validation() {
 #[test]
 fn try_build_surfaces_structured_errors_for_every_rejected_range() {
     use adversarial_robust_streaming::robust::BuildError;
+    use adversarial_robust_streaming::sketch::pstable::MIN_P;
 
-    fn out_of_range(err: ArsError) -> (&'static str, f64, &'static str) {
-        match err {
-            ArsError::Build(BuildError::OutOfRange {
+    fn out_of_range<T>(built: Result<T, ArsError>) -> (&'static str, f64, &'static str) {
+        match built {
+            Err(ArsError::Build(BuildError::OutOfRange {
                 field,
                 value,
                 allowed,
-            }) => (field, value, allowed),
-            other => panic!("expected BuildError::OutOfRange, got {other:?}"),
+            })) => (field, value, allowed),
+            Err(other) => panic!("expected BuildError::OutOfRange, got {other:?}"),
+            Ok(_) => panic!("expected BuildError::OutOfRange, the build succeeded"),
         }
     }
 
-    for (bad_eps, expect) in [(0.0, 0.0), (1.0, 1.0), (-0.1, -0.1), (1.5, 1.5)] {
-        let (field, value, allowed) = out_of_range(RobustBuilder::try_new(bad_eps).unwrap_err());
-        assert_eq!((field, allowed), ("epsilon", "(0,1)"));
-        assert_eq!(value, expect);
+    fn strategy_mismatch<T>(built: Result<T, ArsError>) -> bool {
+        matches!(
+            built,
+            Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
+        )
     }
-    let b = RobustBuilder::new(0.1);
+
+    // Every problem constructor, and the Theorem 10.1 preset, checks ε
+    // and δ before it builds anything: the setters only record them.
+    fn every_constructor(b: RobustBuilder) -> [Result<(), ArsError>; 7] {
+        [
+            b.f0().map(drop),
+            b.fp(2.0).map(drop),
+            b.fp_large(3.0).map(drop),
+            b.turnstile_fp(2.0, 10).map(drop),
+            b.bounded_deletion_fp(1.0, 2.0).map(drop),
+            b.entropy().map(drop),
+            b.heavy_hitters().map(drop),
+        ]
+    }
+    for bad_eps in [0.0, 1.0, -0.1, 1.5, f64::NAN] {
+        let preset = RobustBuilder::theorem_10_1(bad_eps).f0().map(drop);
+        for built in every_constructor(RobustBuilder::new(bad_eps))
+            .into_iter()
+            .chain([preset])
+        {
+            let (field, value, allowed) = out_of_range(built);
+            assert_eq!((field, allowed), ("epsilon", "(0,1)"));
+            assert_eq!(value.to_bits(), bad_eps.to_bits());
+        }
+    }
     for bad_delta in [0.0, 1.0] {
-        let (field, _, allowed) = out_of_range(b.try_delta(bad_delta).unwrap_err());
-        assert_eq!((field, allowed), ("delta", "(0,1)"));
+        for built in every_constructor(RobustBuilder::new(0.1).delta(bad_delta)) {
+            let (field, value, allowed) = out_of_range(built);
+            assert_eq!((field, allowed), ("delta", "(0,1)"));
+            assert_eq!(value, bad_delta);
+        }
     }
-    for bad_p in [0.0, -1.0, 2.5] {
-        let (field, value, _) = out_of_range(b.try_fp(bad_p).unwrap_err());
+
+    let b = RobustBuilder::new(0.1);
+    // Below MIN_P the p-stable variates overflow, so p = 0.001 is refused
+    // as firmly as p = 0 is.
+    for bad_p in [0.0, -1.0, 0.001, 2.5, f64::NAN] {
+        let (field, value, allowed) = out_of_range(b.fp(bad_p));
         assert_eq!(field, "p");
-        assert_eq!(value, bad_p);
+        assert_eq!(value.to_bits(), bad_p.to_bits());
+        assert!(allowed.starts_with(&format!("[{MIN_P}, 2]")), "{allowed}");
     }
     for bad_p in [2.0, f64::NAN, f64::INFINITY] {
-        let (field, value, _) = out_of_range(b.try_fp_large(bad_p).unwrap_err());
+        let (field, value, _) = out_of_range(b.fp_large(bad_p));
         assert_eq!(field, "p");
         assert_eq!(value.to_bits(), bad_p.to_bits());
     }
-    let (field, value, _) = out_of_range(b.try_turnstile_fp(3.0, 10).unwrap_err());
-    assert_eq!((field, value), ("p", 3.0));
-    let (field, value, _) = out_of_range(b.try_turnstile_fp(2.0, 0).unwrap_err());
+    for bad_p in [3.0, 0.001, 1e-300] {
+        let (field, value, allowed) = out_of_range(b.turnstile_fp(bad_p, 10));
+        assert_eq!((field, value), ("p", bad_p));
+        assert_eq!(allowed, format!("[{MIN_P}, 2]"));
+    }
+    let (field, value, _) = out_of_range(b.turnstile_fp(2.0, 0));
     assert_eq!((field, value), ("lambda", 0.0));
-    let (field, value, _) = out_of_range(b.try_bounded_deletion_fp(0.5, 2.0).unwrap_err());
+    let (field, value, _) = out_of_range(b.bounded_deletion_fp(0.5, 2.0));
     assert_eq!((field, value), ("p", 0.5));
     for bad_alpha in [0.5, f64::NAN, f64::INFINITY] {
-        let (field, value, _) =
-            out_of_range(b.try_bounded_deletion_fp(1.0, bad_alpha).unwrap_err());
+        let (field, value, _) = out_of_range(b.bounded_deletion_fp(1.0, bad_alpha));
         assert_eq!(field, "alpha");
         assert_eq!(value.to_bits(), bad_alpha.to_bits());
     }
 
     // Strategy conflicts carry the problem and the paper's reason.
-    assert!(matches!(
-        b.strategy(Strategy::Crypto(Default::default())).try_fp(2.0),
-        Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
+    assert!(strategy_mismatch(
+        b.strategy(Strategy::Crypto(Default::default())).fp(2.0)
     ));
-    assert!(matches!(
-        b.strategy(Strategy::DpAggregation).try_entropy(),
-        Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
+    assert!(strategy_mismatch(
+        b.strategy(Strategy::DpAggregation).entropy()
     ));
-    assert!(matches!(
-        b.strategy(Strategy::ComputationPaths).try_heavy_hitters(),
-        Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
+    assert!(strategy_mismatch(
+        b.strategy(Strategy::ComputationPaths).heavy_hitters()
     ));
-    assert!(matches!(
+    assert!(strategy_mismatch(
         ProvisionerSpec::new(ProblemSpec::CryptoF0, 0.1)
             .strategy(Strategy::SketchSwitching)
-            .build(None),
-        Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
+            .build(None)
     ));
-    assert!(matches!(
-        b.strategy(Strategy::SketchSwitching).try_fp_large(3.0),
-        Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
+    assert!(strategy_mismatch(
+        b.strategy(Strategy::SketchSwitching).fp_large(3.0)
     ));
 
-    // And the happy paths still build.
-    assert!(RobustBuilder::try_new(0.2).is_ok());
-    assert!(b.try_f0().is_ok());
-    assert!(b.try_fp(2.0).is_ok());
-    assert!(b.try_fp_large(3.0).is_ok());
-    assert!(b.try_turnstile_fp(2.0, 10).is_ok());
-    assert!(b.try_bounded_deletion_fp(1.0, 2.0).is_ok());
-    assert!(b.try_entropy().is_ok());
-    assert!(b.try_heavy_hitters().is_ok());
+    // And the happy paths still build, the p floor included.
+    for built in every_constructor(b) {
+        assert!(built.is_ok(), "{built:?}");
+    }
     assert!(b
         .strategy(Strategy::Crypto(CryptoBackend::default()))
-        .try_f0()
+        .f0()
         .is_ok());
+    let small = b.stream_length(8_000).domain(1 << 12);
+    assert!(small.fp(MIN_P).is_ok());
+    assert!(small.turnstile_fp(MIN_P, 10).is_ok());
 }
 
 /// A deterministic adversarial sequence for `model`: seeded, biased
@@ -715,32 +754,5 @@ fn estimate_json_round_trips_for_every_registry_entry() {
             "{}: reading did not round-trip through JSON: {json}",
             entry.id
         );
-    }
-}
-
-#[test]
-fn builder_validation_rejects_bad_parameters() {
-    for bad in [
-        std::panic::catch_unwind(|| RobustBuilder::new(0.0)),
-        std::panic::catch_unwind(|| RobustBuilder::new(1.0)),
-        std::panic::catch_unwind(|| RobustBuilder::new(-0.1)),
-    ] {
-        assert!(bad.is_err(), "builder accepted an invalid epsilon");
-    }
-    for bad in [
-        std::panic::catch_unwind(|| {
-            let _ = RobustBuilder::new(0.1).delta(0.0);
-        }),
-        std::panic::catch_unwind(|| {
-            let _ = RobustBuilder::new(0.1).delta(1.0);
-        }),
-        std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).fp(0.0))),
-        std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).fp(2.5))),
-        std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).fp_large(2.0))),
-        std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).turnstile_fp(2.0, 0))),
-        std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).bounded_deletion_fp(1.0, 0.5))),
-        std::panic::catch_unwind(|| drop(RobustBuilder::new(0.1).bounded_deletion_fp(0.5, 2.0))),
-    ] {
-        assert!(bad.is_err(), "builder accepted an invalid configuration");
     }
 }

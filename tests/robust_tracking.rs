@@ -39,10 +39,16 @@ fn adaptive_adversaries_fool_no_robust_f0_route() {
         .stream_length(rounds as u64)
         .domain(1 << 20);
     let contenders: Vec<(&str, Box<dyn RobustEstimator>)> = vec![
-        ("sketch switching", Box::new(builder.seed(3).f0())),
+        ("sketch switching", Box::new(builder.seed(3).f0().unwrap())),
         (
             "computation paths",
-            Box::new(builder.seed(4).strategy(Strategy::ComputationPaths).f0()),
+            Box::new(
+                builder
+                    .seed(4)
+                    .strategy(Strategy::ComputationPaths)
+                    .f0()
+                    .unwrap(),
+            ),
         ),
         (
             "crypto PRF",
@@ -50,7 +56,8 @@ fn adaptive_adversaries_fool_no_robust_f0_route() {
                 builder
                     .seed(5)
                     .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
-                    .f0(),
+                    .f0()
+                    .unwrap(),
             ),
         ),
     ];
@@ -74,7 +81,8 @@ fn robust_f2_survives_the_surge_adversary() {
     let mut robust = RobustBuilder::new(epsilon)
         .stream_length(rounds as u64)
         .seed(7)
-        .fp(2.0);
+        .fp(2.0)
+        .unwrap();
     let mut adversary = SurgeAdversary::new(2.0, 11);
     let config = GameConfig::relative(Query::Fp(2.0), epsilon * 1.3, rounds).with_warmup(500);
     let outcome = play(&mut robust, &mut adversary, config);
@@ -99,7 +107,8 @@ fn robust_f0_matches_the_exact_oracle_on_oblivious_streams() {
         .stream_length(rounds as u64)
         .domain(1 << 18)
         .seed(17)
-        .f0();
+        .f0()
+        .unwrap();
     let config = GameConfig::relative(Query::F0, epsilon * 1.2, rounds).with_warmup(200);
     let outcome = play(&mut robust, &mut adversary, config);
     assert!(!outcome.adversary_won());
@@ -118,7 +127,8 @@ fn batched_updates_preserve_the_tracking_guarantee() {
         .stream_length(rounds as u64)
         .domain(1 << 18)
         .seed(29)
-        .f0();
+        .f0()
+        .unwrap();
     let mut truth = FrequencyVector::new();
     let mut worst: f64 = 0.0;
     for chunk in updates.chunks(128) {
@@ -149,7 +159,8 @@ fn robust_heavy_hitters_recall_under_adaptive_elephant_migration() {
         .domain(domain)
         .stream_length(rounds as u64)
         .seed(19)
-        .heavy_hitters();
+        .heavy_hitters()
+        .unwrap();
     let mut generator = BurstyGenerator::new(domain, 3, 0.5, 23);
     let mut exact = FrequencyVector::new();
     for step in 0..rounds {
@@ -189,7 +200,8 @@ fn robust_bounded_deletion_fp_inside_validated_model() {
         .domain(1 << 14)
         .max_frequency(4)
         .seed(31)
-        .bounded_deletion_fp(1.0, alpha);
+        .bounded_deletion_fp(1.0, alpha)
+        .unwrap();
     let mut exact = FrequencyVector::new();
     let mut worst: f64 = 0.0;
     for &u in &updates {
@@ -209,7 +221,10 @@ fn space_accounting_is_consistent_across_the_stack() {
     // their ingredients and must not change their reported space when fed
     // data (the paper's algorithms are fixed-space once configured), except
     // for structures that legitimately store identities.
-    let robust = RobustBuilder::new(0.3).stream_length(1_000).fp(2.0);
+    let robust = RobustBuilder::new(0.3)
+        .stream_length(1_000)
+        .fp(2.0)
+        .unwrap();
     let before = robust.space_bytes();
     let mut robust = robust;
     for i in 0..1_000u64 {
@@ -221,7 +236,7 @@ fn space_accounting_is_consistent_across_the_stack() {
         "linear-sketch space is data-independent"
     );
 
-    let mut f0 = RobustBuilder::new(0.2).stream_length(1_000).f0();
+    let mut f0 = RobustBuilder::new(0.2).stream_length(1_000).f0().unwrap();
     let f0_before = f0.space_bytes();
     for i in 0..1_000u64 {
         f0.insert(i);

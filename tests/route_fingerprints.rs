@@ -83,30 +83,50 @@ fn routes() -> Vec<Route> {
     ];
     let mut routes: Vec<Route> = Vec::new();
     for (name, strategy) in pools.into_iter().chain(crypto) {
-        routes.push(("f0", name, b.strategy(strategy).f0(), insertion_only()));
+        routes.push((
+            "f0",
+            name,
+            b.strategy(strategy).f0().unwrap(),
+            insertion_only(),
+        ));
     }
     for (name, strategy) in pools {
-        routes.push(("fp1", name, b.strategy(strategy).fp(1.0), insertion_only()));
-        routes.push(("fp2", name, b.strategy(strategy).fp(2.0), insertion_only()));
+        routes.push((
+            "fp1",
+            name,
+            b.strategy(strategy).fp(1.0).unwrap(),
+            insertion_only(),
+        ));
+        routes.push((
+            "fp2",
+            name,
+            b.strategy(strategy).fp(2.0).unwrap(),
+            insertion_only(),
+        ));
     }
-    routes.push(("fp3-large", "paths", b.fp_large(3.0), insertion_only()));
+    routes.push((
+        "fp3-large",
+        "paths",
+        b.fp_large(3.0).unwrap(),
+        insertion_only(),
+    ));
     routes.push((
         "turnstile-fp2",
         "paths",
-        b.turnstile_fp(2.0, 64),
+        b.turnstile_fp(2.0, 64).unwrap(),
         TurnstileWaveGenerator::new(300).take_updates(UPDATES),
     ));
     routes.push((
         "bounded-deletion-fp1",
         "paths",
-        b.bounded_deletion_fp(1.0, 2.0),
+        b.bounded_deletion_fp(1.0, 2.0).unwrap(),
         BoundedDeletionGenerator::new(2.0, 300, 23).take_updates(UPDATES),
     ));
     for (problem, method) in [
         ("entropy-renyi", EntropyMethod::Renyi),
         ("entropy-sampled", EntropyMethod::Sampled),
     ] {
-        let estimator = b.entropy_method(method).entropy();
+        let estimator = b.entropy_method(method).entropy().unwrap();
         routes.push((problem, "switching", estimator, insertion_only()));
     }
     // At ε = 0.6 the preset's δ = 1/4 provisions a smaller tracking
@@ -115,7 +135,8 @@ fn routes() -> Vec<Route> {
         .stream_length(UPDATES as u64)
         .domain(DOMAIN)
         .seed(2_024)
-        .f0();
+        .f0()
+        .unwrap();
     routes.push(("f0", "theorem-10-1", preset, insertion_only()));
     routes
 }
