@@ -40,8 +40,6 @@ pub struct GameConfig {
     pub epsilon: f64,
     /// The query being tracked, used for exact scoring.
     pub query: Query,
-    /// The stream model the adversary must respect.
-    pub model: StreamModel,
     /// Score additively (entropy) instead of multiplicatively (moments).
     pub additive: bool,
     /// Rounds at the beginning of the game that are not scored (small
@@ -58,17 +56,9 @@ impl GameConfig {
             rounds,
             epsilon,
             query,
-            model: StreamModel::InsertionOnly,
             additive: false,
             warmup: 0,
         }
-    }
-
-    /// Sets the stream model the adversary must respect.
-    #[must_use]
-    pub fn with_model(mut self, model: StreamModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Sets the number of unscored warm-up rounds.
@@ -152,13 +142,15 @@ impl GameRunner {
         self.config
     }
 
-    /// Plays the game between `estimator` and `adversary`.
+    /// Plays the game between `estimator` and `adversary`. The adversary
+    /// must keep the stream insertion-only; its first update outside that
+    /// model stops the game unapplied (see [`GameOutcome::model_violation`]).
     pub fn run<E, A>(&self, estimator: &mut E, adversary: &mut A) -> GameOutcome
     where
         E: Estimator + ?Sized,
         A: Adversary + ?Sized,
     {
-        let mut validator = StreamValidator::new(self.config.model);
+        let mut validator = StreamValidator::new(StreamModel::InsertionOnly);
         self.play(adversary, |update| {
             validator.apply(update).map_err(|err| err.to_string())?;
             estimator.update(update);
@@ -234,11 +226,11 @@ impl GameRunner {
     }
 
     /// Plays the game against a [`StreamSession`]: the *session's* declared
-    /// model is enforced at ingestion (the config's `model` field is not
-    /// consulted — the session owns its promise), responses are read as
-    /// typed [`Estimate`]s, and the outcome carries the final reading so
-    /// drivers can report guarantee intervals, flips spent and the health
-    /// verdict instead of bare floats.
+    /// model is enforced at ingestion (the session owns its promise, where
+    /// [`GameRunner::run`] holds the adversary to insertion-only),
+    /// responses are read as typed [`Estimate`]s, and the outcome carries
+    /// the final reading so drivers can report guarantee intervals, flips
+    /// spent and the health verdict instead of bare floats.
     ///
     /// An adversary that steps outside the session's model has its update
     /// refused — the sketch never sees it — and the game stops there with

@@ -21,7 +21,7 @@ use ars_adversary::{
 };
 use ars_core::{
     empirical_flip_number, standard_registry, ArsError, CryptoBackend, DynRobust, Estimate,
-    FlipNumberBound, RegistryParams, RobustBuilder, RobustEstimator, RobustPlan, Robustify,
+    FlipNumberBound, Health, RegistryParams, RobustBuilder, RobustEstimator, RobustPlan,
     SketchSwitch, SketchSwitchConfig, Strategy, StreamSession,
 };
 use ars_sketch::ams::{AmsConfig, AmsSketch};
@@ -705,7 +705,7 @@ pub fn table1_turnstile(scale: ExperimentScale, seed: u64) -> ExperimentReport {
         within_guarantee: err <= epsilon * 1.2,
         notes: format!(
             "lambda budget {lambda}, budget exceeded: {}",
-            robust.budget_exceeded()
+            robust.query().health == Health::BudgetExhausted
         ),
     });
     report
@@ -1268,7 +1268,8 @@ fn capped_exhaustible_f0(
         value_range: (domain as f64).max(2.0),
         ..RobustPlan::new(epsilon, lambda)
     };
-    Robustify::new(Box::new(SketchSwitch::new(factory, pool, seed)), plan)
+    DynRobust::new(Box::new(SketchSwitch::new(factory, pool, seed)), plan)
+        .expect("the capped pool's epsilon is in (0,1)")
 }
 
 /// E14 — DP aggregation (Hassidim et al. 2020) vs the paper's wrappers:

@@ -6,18 +6,17 @@
 //! this one trait instead of one hand-written loop per estimator type.
 
 use ars_sketch::Estimator;
-use ars_stream::Update;
 
 use crate::engine::PublicationState;
-use crate::error::ArsError;
 use crate::estimate::{Estimate, FlipBudget};
 
 /// An adversarially robust streaming estimator.
 ///
 /// Extends [`Estimator`] (update / estimate / space accounting) with the
 /// robustness-specific surface: the approximation parameter the guarantee
-/// was configured for, flip-number budget accounting, and fallible
-/// (budget-checked) ingestion.
+/// was configured for and flip-number budget accounting. Whether the budget
+/// still holds is one verdict, the [`crate::estimate::Health`] of
+/// [`RobustEstimator::query`].
 ///
 /// `Send` is a supertrait: estimators are owned data (the engine already
 /// stores its strategy cores as `Box<dyn StrategyCore + Send>`), and the
@@ -55,39 +54,6 @@ pub trait RobustEstimator: Estimator + Send {
         )
     }
 
-    /// Fallible ingestion: processes the update, then reports
-    /// [`ArsError::BudgetExhausted`] if the published output has now
-    /// changed more often than the flip budget — the point past which the
-    /// paper's guarantee no longer covers the readings.
-    ///
-    /// The update **is** applied either way (the estimator keeps running,
-    /// degraded); the error is the signal `estimate()` could never carry.
-    fn try_update(&mut self, update: Update) -> Result<(), ArsError> {
-        self.update(update);
-        self.budget_check()
-    }
-
-    /// Fallible batched ingestion; same contract as
-    /// [`RobustEstimator::try_update`] over the amortized hot path
-    /// ([`Estimator::update_batch`]).
-    fn try_update_batch(&mut self, updates: &[Update]) -> Result<(), ArsError> {
-        self.update_batch(updates);
-        self.budget_check()
-    }
-
-    /// Shared budget verdict behind the `try_*` path: `Ok(())` while the
-    /// flip budget holds, [`ArsError::BudgetExhausted`] once it does not.
-    fn budget_check(&self) -> Result<(), ArsError> {
-        if self.budget_exceeded() {
-            Err(ArsError::BudgetExhausted {
-                flips: self.output_changes(),
-                budget: self.flip_budget(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     /// The approximation parameter ε this estimator was built for
     /// (multiplicative for moments, additive bits for entropy).
     fn epsilon(&self) -> f64;
@@ -107,14 +73,6 @@ pub trait RobustEstimator: Estimator + Send {
     /// strategies can be compared at equal flip budget.
     fn copies(&self) -> usize {
         1
-    }
-
-    /// Whether the published output has changed more often than the
-    /// flip-number budget — evidence that the stream left the promised
-    /// class (e.g. the λ-flip turnstile promise) or that an inner
-    /// estimator failed.
-    fn budget_exceeded(&self) -> bool {
-        self.output_changes() > self.flip_budget()
     }
 
     /// The robustification strategy that produced this estimator, for

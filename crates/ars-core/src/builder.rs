@@ -370,8 +370,9 @@ impl RobustBuilder {
 
     /// Robust `F_p` for turnstile streams promised to have flip number at
     /// most `lambda` (Theorem 1.6 / 4.3). The wrapper cannot verify the
-    /// promise; [`crate::api::RobustEstimator::budget_exceeded`] flags
-    /// streams that left the class. Rejects `p` outside `[MIN_P, 2]` (as
+    /// promise; a reading whose health is
+    /// [`crate::estimate::Health::BudgetExhausted`] flags streams that left
+    /// the class. Rejects `p` outside `[MIN_P, 2]` (as
     /// [`RobustBuilder::fp`] does), a zero flip-number promise, and
     /// non-computation-paths strategies with a typed error.
     pub fn turnstile_fp(&self, p: f64, lambda: usize) -> Result<DynRobust, ArsError> {
@@ -584,7 +585,7 @@ impl RobustBuilder {
                     ),
                 };
                 // The crypto argument needs no flip budget; report
-                // "unlimited" so budget_exceeded stays false.
+                // "unlimited" so the budget never exhausts.
                 plan.lambda = usize::MAX;
                 Box::new(CryptoMask::new(backend, &factory, seed))
             }
@@ -600,7 +601,7 @@ impl RobustBuilder {
                 Box::new(DifferenceEstimators::new(&factory, schedule, seed))
             }
         };
-        Robustify::try_new(core, plan)
+        Robustify::new(core, plan)
     }
 
     /// The computation-paths route (Lemma 3.8): one copy from `single` at
@@ -624,7 +625,7 @@ impl RobustBuilder {
         let delta0 = config.required_delta_clamped().max(PRACTICAL_DELTA_FLOOR);
         let core: Box<dyn StrategyCore + Send> =
             Box::new(ComputationPaths::new(&single(delta0), config, self.seed));
-        Robustify::try_new(core, plan)
+        Robustify::new(core, plan)
     }
 
     fn ensure_paths(&self, problem: &'static str) -> Result<(), BuildError> {
@@ -644,6 +645,7 @@ impl RobustBuilder {
 mod tests {
     use super::*;
     use crate::api::RobustEstimator;
+    use crate::estimate::Health;
     use ars_sketch::Estimator;
     use ars_stream::generator::{
         BoundedDeletionGenerator, Generator, SlidingDistinctGenerator, TurnstileWaveGenerator,
@@ -823,7 +825,7 @@ mod tests {
                 robust.insert(i);
             }
             assert_eq!(robust.flip_budget(), usize::MAX);
-            assert!(!robust.budget_exceeded());
+            assert_eq!(robust.query().health, Health::WithinGuarantee);
             assert_eq!(robust.output_changes(), 0, "raw mode tracks no rounding");
         }
     }
@@ -1162,7 +1164,7 @@ mod tests {
     fn raw_publication_reports_no_flip_budget() {
         let robust = RobustBuilder::theorem_10_1(0.2).f0().unwrap();
         assert_eq!(robust.flip_budget(), usize::MAX);
-        assert!(!robust.budget_exceeded());
+        assert_eq!(robust.query().health, Health::WithinGuarantee);
     }
 
     fn worst_fp_tracking_error(
@@ -1293,11 +1295,15 @@ mod tests {
             }
         }
         assert!(worst <= 0.35, "worst-case error {worst}");
-        assert!(!robust.budget_exceeded(), "budget should cover two waves");
+        assert_eq!(
+            robust.query().health,
+            Health::WithinGuarantee,
+            "budget should cover two waves"
+        );
     }
 
     #[test]
-    fn budget_exceeded_flags_streams_outside_the_class() {
+    fn health_flags_streams_outside_the_class() {
         // Promise lambda = 3 but run a stream whose F2 doubles many times.
         let mut robust = RobustBuilder::new(0.2)
             .stream_length(10_000)
@@ -1307,7 +1313,7 @@ mod tests {
         for i in 0..5_000u64 {
             robust.insert(i);
         }
-        assert!(robust.budget_exceeded());
+        assert_eq!(robust.query().health, Health::BudgetExhausted);
     }
 
     #[test]

@@ -189,6 +189,7 @@ mod tests {
     use super::*;
     use crate::api::RobustEstimator;
     use crate::engine::{RobustPlan, Robustify};
+    use crate::estimate::Health;
     use ars_sketch::fast_f0::{FastF0Config, FastF0Factory};
     use ars_sketch::kmv::{KmvConfig, KmvFactory};
     use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
@@ -236,7 +237,7 @@ mod tests {
         };
         let config = ComputationPathsConfig::new(epsilon, 200, 1 << 16, 1e9, 1e-3);
         let mut robust =
-            Robustify::new(ComputationPaths::new(&factory, config, 3), plan_for(config));
+            Robustify::new(ComputationPaths::new(&factory, config, 3), plan_for(config)).unwrap();
 
         let updates = UniformGenerator::new(1 << 18, 5).take_updates(30_000);
         let mut truth = FrequencyVector::new();
@@ -260,7 +261,7 @@ mod tests {
         };
         let config = ComputationPathsConfig::new(epsilon, 500, 1 << 16, 1e9, 1e-6);
         let mut robust =
-            Robustify::new(ComputationPaths::new(&factory, config, 9), plan_for(config));
+            Robustify::new(ComputationPaths::new(&factory, config, 9), plan_for(config)).unwrap();
         let m = 40_000u64;
         for i in 0..m {
             robust.insert(i);
@@ -271,7 +272,7 @@ mod tests {
             "output changed {} times, bound {bound}",
             robust.output_changes()
         );
-        assert!(!robust.budget_exceeded());
+        assert_eq!(robust.query().health, Health::WithinGuarantee);
     }
 
     #[test]
@@ -281,7 +282,8 @@ mod tests {
         };
         let inner_space = factory.build(0).space_bytes();
         let config = f0_config(10);
-        let wrapped = Robustify::new(ComputationPaths::new(&factory, config, 0), plan_for(config));
+        let wrapped =
+            Robustify::new(ComputationPaths::new(&factory, config, 0), plan_for(config)).unwrap();
         // Core bookkeeping (32) + the engine's plan-plus-rounder overhead
         // (size_of::<RobustPlan>() + 32): well under 160 bytes total.
         assert!(wrapped.space_bytes() <= inner_space + 160);
@@ -293,7 +295,8 @@ mod tests {
             config: KmvConfig::for_accuracy(0.1),
         };
         let config = f0_config(10);
-        let robust = Robustify::new(ComputationPaths::new(&factory, config, 1), plan_for(config));
+        let robust =
+            Robustify::new(ComputationPaths::new(&factory, config, 1), plan_for(config)).unwrap();
         assert_eq!(robust.estimate(), 0.0);
     }
 

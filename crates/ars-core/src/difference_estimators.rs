@@ -283,7 +283,8 @@ mod tests {
     use super::*;
     use crate::api::RobustEstimator;
     use crate::dp_aggregation::DpAggregationConfig;
-    use crate::engine::{DynRobust, Robustify};
+    use crate::engine::DynRobust;
+    use crate::estimate::Health;
     use crate::sketch_switch::SketchSwitchConfig;
     use ars_sketch::kmv::{KmvConfig, KmvFactory};
     use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
@@ -304,7 +305,7 @@ mod tests {
         let schedule = DifferenceSchedule::for_flip_budget(lambda);
         schedule.provision(&mut plan);
         let core = DifferenceEstimators::new(&tracked_kmv_factory(epsilon), schedule, seed);
-        Robustify::new(Box::new(core), plan)
+        DynRobust::new(Box::new(core), plan).unwrap()
     }
 
     #[test]
@@ -438,7 +439,7 @@ mod tests {
             Some(schedule.info()),
             "the chunk accounting must be threaded through the plan"
         );
-        assert!(!robust.budget_exceeded());
+        assert_eq!(robust.query().health, Health::WithinGuarantee);
     }
 
     #[test]

@@ -296,7 +296,8 @@ where
 mod tests {
     use super::*;
     use crate::api::RobustEstimator;
-    use crate::engine::{DynRobust, Robustify};
+    use crate::engine::DynRobust;
+    use crate::estimate::Health;
     use crate::sketch_switch::SketchSwitchConfig;
     use ars_sketch::kmv::{KmvConfig, KmvFactory};
     use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
@@ -317,7 +318,7 @@ mod tests {
         plan.value_range = 1e9;
         let config = DpAggregationConfig::from_plan(&plan);
         let core = DpAggregation::new(&tracked_kmv_factory(epsilon), config, seed);
-        Robustify::new(Box::new(core), plan)
+        DynRobust::new(Box::new(core), plan).unwrap()
     }
 
     #[test]
@@ -373,7 +374,7 @@ mod tests {
         // 20k queries were answered; the flip budget consumed is the number
         // of output changes, orders of magnitude below the query count.
         assert!(changes < 200, "output changed {changes} times");
-        assert!(!robust.budget_exceeded());
+        assert_eq!(robust.query().health, Health::WithinGuarantee);
     }
 
     #[test]

@@ -213,10 +213,11 @@ pub struct RobustPlan {
 
 impl RobustPlan {
     /// A plan with the given ε and this crate's defaults for everything
-    /// else (δ = 10⁻³, `m = n = M = 2²⁰`, λ = explicit).
+    /// else (δ = 10⁻³, `m = n = M = 2²⁰`, λ = explicit). The ε is checked
+    /// where the plan is used: [`Robustify::new`] refuses one outside
+    /// `(0, 1)`.
     #[must_use]
     pub fn new(epsilon: f64, lambda: usize) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0,1)");
         Self {
             epsilon,
             rounding_epsilon: epsilon,
@@ -250,16 +251,9 @@ pub struct Robustify<C: StrategyCore = Box<dyn StrategyCore + Send>> {
 pub type DynRobust = Robustify<Box<dyn StrategyCore + Send>>;
 
 impl<C: StrategyCore> Robustify<C> {
-    /// Assembles an engine from a strategy core and its plan, panicking on
-    /// an invalid plan — a thin wrapper over [`Robustify::try_new`].
-    #[must_use]
-    pub fn new(core: C, plan: RobustPlan) -> Self {
-        Self::try_new(core, plan).unwrap_or_else(|err| panic!("{err}"))
-    }
-
     /// Assembles an engine from a strategy core and its plan, rejecting an
-    /// invalid plan with a typed error instead of a panic.
-    pub fn try_new(core: C, plan: RobustPlan) -> Result<Self, ArsError> {
+    /// invalid plan (a rounding ε outside `(0, 1)`) with a typed error.
+    pub fn new(core: C, plan: RobustPlan) -> Result<Self, ArsError> {
         if !(plan.rounding_epsilon > 0.0 && plan.rounding_epsilon < 1.0) {
             return Err(BuildError::out_of_range(
                 "rounding epsilon",
@@ -494,7 +488,7 @@ mod tests {
 
     #[test]
     fn publishes_rounded_tracking_outputs() {
-        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.2));
+        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.2)).unwrap();
         for i in 1..=10_000u64 {
             engine.update(Update::insert(i));
             let est = engine.estimate();
@@ -508,7 +502,7 @@ mod tests {
 
     #[test]
     fn output_changes_count_matches_core_publish_notifications() {
-        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.3));
+        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.3)).unwrap();
         for i in 1..=5_000u64 {
             engine.update(Update::insert(i));
         }
@@ -521,8 +515,8 @@ mod tests {
 
     #[test]
     fn batch_path_publishes_once_per_batch() {
-        let mut per_update = Robustify::new(CountingCore::windowed(), plan(0.2));
-        let mut batched = Robustify::new(CountingCore::windowed(), plan(0.2));
+        let mut per_update = Robustify::new(CountingCore::windowed(), plan(0.2)).unwrap();
+        let mut batched = Robustify::new(CountingCore::windowed(), plan(0.2)).unwrap();
         let updates: Vec<Update> = (1..=4_096u64).map(Update::insert).collect();
         for &u in &updates {
             per_update.update(u);
@@ -544,7 +538,7 @@ mod tests {
 
     #[test]
     fn empty_batches_are_no_ops() {
-        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.2));
+        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.2)).unwrap();
         engine.update_batch(&[]);
         assert_eq!(engine.estimate(), 0.0);
         assert_eq!(engine.output_changes(), 0);
@@ -562,7 +556,7 @@ mod tests {
             publishes: 0,
             mode: RoundingMode::Raw,
         };
-        let mut engine = Robustify::new(core, plan(0.2));
+        let mut engine = Robustify::new(core, plan(0.2)).unwrap();
         for i in 1..=100u64 {
             engine.update(Update::insert(i));
             assert_eq!(engine.estimate(), i as f64, "raw mode must not round");
@@ -573,31 +567,32 @@ mod tests {
 
     #[test]
     fn budget_accounting_flags_overruns() {
-        let mut engine = Robustify::new(CountingCore::windowed(), RobustPlan::new(0.2, 3));
+        // The reading's health is the one budget verdict: it turns
+        // BudgetExhausted at exactly the update whose flip passes λ = 3,
+        // and the engine keeps ingesting past that point.
+        let mut engine = Robustify::new(CountingCore::windowed(), RobustPlan::new(0.2, 3)).unwrap();
+        let mut saw_exhaustion = false;
         for i in 1..=10_000u64 {
             engine.update(Update::insert(i));
+            let reading = RobustEstimator::query(&engine);
+            assert_eq!(reading.flips_used, engine.output_changes());
+            let exhausted = reading.health == crate::estimate::Health::BudgetExhausted;
+            assert_eq!(
+                exhausted,
+                reading.flips_used > 3,
+                "health diverged from the budget at flips {}",
+                reading.flips_used
+            );
+            saw_exhaustion |= exhausted;
         }
         assert_eq!(engine.flip_budget(), 3);
-        assert!(engine.budget_exceeded());
-        // The typed surfaces agree: the reading reports BudgetExhausted and
-        // the fallible path surfaces the typed error (while still applying
-        // the update).
-        assert_eq!(
-            RobustEstimator::query(&engine).health,
-            crate::estimate::Health::BudgetExhausted
-        );
-        let before = engine.core().count;
-        let verdict = engine.try_update(Update::insert(1));
-        assert!(matches!(
-            verdict,
-            Err(ArsError::BudgetExhausted { budget: 3, .. })
-        ));
-        assert_eq!(engine.core().count, before + 1, "update must still apply");
+        assert!(saw_exhaustion, "the counting core must overrun λ = 3");
+        assert_eq!(engine.core().count, 10_000, "updates must still apply");
     }
 
     #[test]
     fn query_readings_match_the_float_surface() {
-        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.2));
+        let mut engine = Robustify::new(CountingCore::windowed(), plan(0.2)).unwrap();
         for i in 1..=1_000u64 {
             engine.update(Update::insert(i));
         }
@@ -612,7 +607,6 @@ mod tests {
         assert!(
             reading.guarantee.lower <= reading.value && reading.value <= reading.guarantee.upper
         );
-        assert!(engine.try_update_batch(&[Update::insert(7)]).is_ok());
     }
 
     #[test]
@@ -622,7 +616,7 @@ mod tests {
         // interval.
         let mut additive_plan = plan(0.3);
         additive_plan.additive = true;
-        let mut engine = Robustify::new(CountingCore::windowed(), additive_plan);
+        let mut engine = Robustify::new(CountingCore::windowed(), additive_plan).unwrap();
         for i in 1..=64u64 {
             engine.update(Update::insert(i));
         }
@@ -641,7 +635,7 @@ mod tests {
 
     #[test]
     fn empty_engine_estimates_zero() {
-        let engine = Robustify::new(CountingCore::windowed(), plan(0.1));
+        let engine = Robustify::new(CountingCore::windowed(), plan(0.1)).unwrap();
         assert_eq!(engine.estimate(), 0.0);
         assert!(engine.space_bytes() > 0);
         assert_eq!(RobustEstimator::epsilon(&engine), 0.1);
@@ -652,6 +646,8 @@ mod tests {
     fn invalid_plan_is_rejected() {
         let mut bad = plan(0.5);
         bad.rounding_epsilon = 0.0;
-        let _ = Robustify::new(CountingCore::windowed(), bad);
+        if let Err(err) = Robustify::new(CountingCore::windowed(), bad) {
+            panic!("{err}");
+        }
     }
 }

@@ -12,9 +12,10 @@
 //!   [`crate::builder::RobustBuilder`].
 //! * [`ArsError`] — the top-level error: a build failure, a stream-model
 //!   violation (wrapping [`ars_stream::StreamError`], raised by
-//!   [`crate::session::StreamSession`] at ingestion), or flip-budget
-//!   exhaustion (raised by the fallible
-//!   [`crate::api::RobustEstimator::try_update`] path).
+//!   [`crate::session::StreamSession`] at ingestion), a refused rebuild,
+//!   an unknown tenant or a malformed wire payload. Flip-budget exhaustion
+//!   is not an error: the estimator keeps running, and its readings carry
+//!   [`crate::estimate::Health::BudgetExhausted`].
 
 use std::fmt;
 
@@ -82,15 +83,6 @@ pub enum ArsError {
     Stream(StreamError),
     /// Builder/parameter validation failed.
     Build(BuildError),
-    /// The published output has changed more often than the provisioned
-    /// flip budget λ: the estimator is past the regime its theorem covers
-    /// and readings carry [`crate::estimate::Health::BudgetExhausted`].
-    BudgetExhausted {
-        /// Output changes spent so far.
-        flips: usize,
-        /// The provisioned budget λ.
-        budget: usize,
-    },
     /// A rebuild (re-provisioning) could not proceed: the session's
     /// validation tier keeps no exact state to replay — the stateless fast
     /// path trades exactly this away; open the session with
@@ -124,10 +116,6 @@ impl fmt::Display for ArsError {
         match self {
             Self::Stream(err) => write!(f, "stream model violation: {err}"),
             Self::Build(err) => write!(f, "invalid configuration: {err}"),
-            Self::BudgetExhausted { flips, budget } => write!(
-                f,
-                "flip budget exhausted: {flips} output changes against a budget of {budget}"
-            ),
             Self::StateUnavailable { reason } => {
                 write!(f, "cannot rebuild the estimator: {reason}")
             }
@@ -144,10 +132,7 @@ impl std::error::Error for ArsError {
         match self {
             Self::Stream(err) => Some(err),
             Self::Build(err) => Some(err),
-            Self::BudgetExhausted { .. }
-            | Self::StateUnavailable { .. }
-            | Self::UnknownSession { .. }
-            | Self::Wire { .. } => None,
+            Self::StateUnavailable { .. } | Self::UnknownSession { .. } | Self::Wire { .. } => None,
         }
     }
 }
@@ -199,14 +184,6 @@ mod tests {
         let build = ArsError::from(BuildError::out_of_range("delta", 0.0, "(0,1)"));
         assert!(matches!(build, ArsError::Build(_)));
         assert!(build.to_string().contains("delta must be in (0,1)"));
-
-        let budget = ArsError::BudgetExhausted {
-            flips: 11,
-            budget: 10,
-        };
-        assert!(budget.source().is_none());
-        assert!(budget.to_string().contains("11"));
-        assert!(budget.to_string().contains("10"));
 
         let state = ArsError::StateUnavailable {
             reason: "the stateless validation tier keeps no exact state to replay",

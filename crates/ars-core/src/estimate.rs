@@ -63,7 +63,8 @@ impl FlipBudget {
 
     /// Whether spending `flips` output changes exhausts this budget. An
     /// unbounded budget is never exhausted; this is exactly the condition
-    /// behind [`crate::api::RobustEstimator::budget_exceeded`].
+    /// behind [`Health::BudgetExhausted`], which [`Estimate::new`] derives
+    /// from it.
     #[must_use]
     pub fn is_exhausted_by(self, flips: usize) -> bool {
         match self {
@@ -222,8 +223,10 @@ pub struct Estimate {
 impl Estimate {
     /// Assembles a reading, deriving the guarantee interval and the health
     /// verdict from the raw accounting. This is the one place those
-    /// derivations live; the engine and the trait-default `query()` both
-    /// call it.
+    /// derivations live, and `health` is the system's one budget verdict;
+    /// the engine and the trait-default `query()` both call it, and
+    /// [`crate::session::StreamSession::query`] only downgrades the health
+    /// to [`Health::PromiseViolated`] after a model violation.
     #[must_use]
     pub fn new(
         value: f64,
@@ -412,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_matches_the_budget_exceeded_condition() {
+    fn exhaustion_is_strictly_past_the_budget() {
         assert!(!FlipBudget::Bounded(3).is_exhausted_by(3));
         assert!(FlipBudget::Bounded(3).is_exhausted_by(4));
         assert!(!FlipBudget::Unbounded.is_exhausted_by(usize::MAX));

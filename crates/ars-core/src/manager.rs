@@ -64,18 +64,6 @@ struct Tenant {
 }
 
 impl Tenant {
-    /// Cheap health verdict (no full [`Estimate`] assembly on the per-update
-    /// hot path): promise violations dominate, then budget exhaustion.
-    fn health(&self) -> Health {
-        if self.session.violation().is_some() {
-            Health::PromiseViolated
-        } else if self.session.estimator().budget_exceeded() {
-            Health::BudgetExhausted
-        } else {
-            Health::WithinGuarantee
-        }
-    }
-
     /// The one rebuild path: builds `spec` at the λ hint, opens its session
     /// on [`ProvisionerSpec::model`] (with exact state unless the spec opted
     /// out) and ingests `state` as one batch, so every replayed coordinate
@@ -99,10 +87,12 @@ impl Tenant {
     /// spent. Best-effort: a stateless tenant keeps no state to replay, and
     /// its degraded health is the signal.
     fn heal(&mut self) -> Health {
-        if self.health() == Health::BudgetExhausted {
-            let _ = self.reprovision();
+        let health = self.session.query().health;
+        if health != Health::BudgetExhausted {
+            return health;
         }
-        self.health()
+        let _ = self.reprovision();
+        self.session.query().health
     }
 
     /// Rebuilds the estimator from the session's exact state with a doubled
@@ -309,18 +299,21 @@ impl SessionManager {
     pub fn health_report(&self) -> Vec<TenantHealth> {
         self.tenants
             .iter()
-            .map(|(name, tenant)| TenantHealth {
-                name: name.clone(),
-                health: tenant.health(),
-                accepted: tenant.session.len(),
-                rejected: tenant.session.rejected(),
-                dropped: tenant.session.dropped(),
-                reprovisions: tenant.reprovisions,
-                flips_used: tenant.session.estimator().output_changes(),
-                flip_budget: FlipBudget::from_raw(tenant.session.estimator().flip_budget()),
-                space_bytes: tenant.session.space_bytes(),
-                validator_bytes: tenant.session.validator_bytes(),
-                tier: tenant.session.validator_tier(),
+            .map(|(name, tenant)| {
+                let reading = tenant.session.query();
+                TenantHealth {
+                    name: name.clone(),
+                    health: reading.health,
+                    accepted: tenant.session.len(),
+                    rejected: tenant.session.rejected(),
+                    dropped: tenant.session.dropped(),
+                    reprovisions: tenant.reprovisions,
+                    flips_used: reading.flips_used,
+                    flip_budget: reading.flip_budget,
+                    space_bytes: tenant.session.space_bytes(),
+                    validator_bytes: tenant.session.validator_bytes(),
+                    tier: tenant.session.validator_tier(),
+                }
             })
             .collect()
     }

@@ -99,29 +99,6 @@ impl RobustL2HeavyHitters {
         })
     }
 
-    /// Processes one stream update.
-    pub fn update(&mut self, update: Update) {
-        self.norm_estimator.update(update);
-        for sketch in &mut self.point_sketches {
-            sketch.update(update);
-        }
-        let l2 = self.norm_estimate();
-        if self.rounder.needs_update(l2) {
-            self.rounder.round(l2);
-            // Freeze the active copy's answers and restart it on the suffix.
-            self.frozen = Some(self.point_sketches[self.active].clone());
-            self.point_sketches[self.active] = CountSketch::new(self.cs_config, self.next_seed);
-            self.next_seed = self.next_seed.wrapping_add(0x9E37_79B9);
-            self.active = (self.active + 1) % self.point_sketches.len();
-            self.switches += 1;
-        }
-    }
-
-    /// Processes a unit insertion.
-    pub fn insert(&mut self, item: u64) {
-        self.update(Update::insert(item));
-    }
-
     /// The robust `(1 ± ε/2)` estimate of `‖f‖₂`.
     #[must_use]
     pub fn norm_estimate(&self) -> f64 {
@@ -161,32 +138,24 @@ impl RobustL2HeavyHitters {
     pub fn switches(&self) -> usize {
         self.switches
     }
-
-    /// The current typed reading of the scalar facet (the robust `‖f‖₂`
-    /// estimate), with switch-time accounting as the flip usage.
-    #[must_use]
-    pub fn query(&self) -> crate::estimate::Estimate {
-        RobustEstimator::query(self)
-    }
-
-    /// The approximation parameter ε.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Memory footprint in bytes.
-    #[must_use]
-    pub fn space_bytes(&self) -> usize {
-        let points: usize = self.point_sketches.iter().map(Estimator::space_bytes).sum();
-        let frozen = self.frozen.as_ref().map_or(0, Estimator::space_bytes);
-        points + frozen + self.norm_estimator.space_bytes()
-    }
 }
 
 impl Estimator for RobustL2HeavyHitters {
     fn update(&mut self, update: Update) {
-        RobustL2HeavyHitters::update(self, update);
+        self.norm_estimator.update(update);
+        for sketch in &mut self.point_sketches {
+            sketch.update(update);
+        }
+        let l2 = self.norm_estimate();
+        if self.rounder.needs_update(l2) {
+            self.rounder.round(l2);
+            // Freeze the active copy's answers and restart it on the suffix.
+            self.frozen = Some(self.point_sketches[self.active].clone());
+            self.point_sketches[self.active] = CountSketch::new(self.cs_config, self.next_seed);
+            self.next_seed = self.next_seed.wrapping_add(0x9E37_79B9);
+            self.active = (self.active + 1) % self.point_sketches.len();
+            self.switches += 1;
+        }
     }
 
     /// The scalar facet of the structure: the robust `‖f‖₂` estimate.
@@ -195,7 +164,9 @@ impl Estimator for RobustL2HeavyHitters {
     }
 
     fn space_bytes(&self) -> usize {
-        RobustL2HeavyHitters::space_bytes(self)
+        let points: usize = self.point_sketches.iter().map(Estimator::space_bytes).sum();
+        let frozen = self.frozen.as_ref().map_or(0, Estimator::space_bytes);
+        points + frozen + self.norm_estimator.space_bytes()
     }
 }
 

@@ -272,7 +272,7 @@ mod tests {
         let factory = tracked_kmv_factory(config.epsilon);
         let mut plan = RobustPlan::new(config.epsilon, 10_000);
         plan.domain = 1 << 20;
-        Robustify::new(SketchSwitch::new(factory, config, seed), plan)
+        Robustify::new(SketchSwitch::new(factory, config, seed), plan).unwrap()
     }
 
     #[test]

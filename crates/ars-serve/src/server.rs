@@ -53,8 +53,10 @@
 //! | `POST` | `/restore` | snapshot JSON | 200, tenants restored |
 //!
 //! Errors map [`ArsError`] onto statuses: `Wire`/`Build` → 400,
-//! `UnknownSession` → 404, `StateUnavailable` → 409, `Stream` → 422,
-//! `BudgetExhausted` → 503.
+//! `UnknownSession` → 404, `StateUnavailable` → 409, `Stream` → 422.
+//! A spent flip budget is not an error: the update is ingested, its
+//! receipt carries `"health":"budget-exhausted"`, and `/health` answers
+//! 503 while any tenant reads other than `within-guarantee`.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
@@ -412,7 +414,6 @@ fn status_for(err: &ArsError) -> (u16, &'static str) {
         ArsError::UnknownSession { .. } => (404, "unknown-session"),
         ArsError::StateUnavailable { .. } => (409, "state-unavailable"),
         ArsError::Stream(_) => (422, "stream"),
-        ArsError::BudgetExhausted { .. } => (503, "budget-exhausted"),
     }
 }
 
@@ -715,6 +716,7 @@ mod tests {
     use super::*;
     use crate::http::read_request;
     use ars_core::spec::ProblemSpec;
+    use ars_stream::generator::{Generator, TurnstileWaveGenerator};
 
     fn shared(manager: SessionManager) -> Arc<Mutex<SessionManager>> {
         Arc::new(Mutex::new(manager))
@@ -849,6 +851,47 @@ mod tests {
         );
         assert!(
             response.body.contains("promise-violated"),
+            "{}",
+            response.body
+        );
+    }
+
+    #[test]
+    fn health_reports_budget_exhaustion_with_503() {
+        // A stateless turnstile tenant promised lambda = 2, driven through
+        // insert/delete waves: its budget runs out and, with no exact
+        // state to replay, it cannot be re-provisioned.
+        let manager = shared(SessionManager::new());
+        let spec = ProvisionerSpec::new(ProblemSpec::TurnstileFp { p: 2.0, lambda: 2 }, 0.25)
+            .stream_length(20_000)
+            .domain(1 << 10)
+            .max_frequency(64)
+            .seed(23)
+            .stateless();
+        let (_, registered) =
+            dispatch(request("POST", "/tenants/waves", &spec.to_json()), &manager);
+        assert_eq!(registered.status, 201, "{}", registered.body);
+        let updates = TurnstileWaveGenerator::new(400).take_updates(6_000);
+        let exhausted = updates.chunks(100).any(|batch| {
+            let mut body = JsonWriter::new();
+            body.raw("{").key("updates").pairs(batch).raw("}");
+            let (_, receipt) = dispatch(
+                request("POST", "/tenants/waves/update", &body.finish()),
+                &manager,
+            );
+            assert_eq!(receipt.status, 200, "{}", receipt.body);
+            receipt.body.contains("\"health\":\"budget-exhausted\"")
+        });
+        assert!(exhausted, "the waves must spend a budget of 2");
+        let (_, response) = dispatch(request("GET", "/health", ""), &manager);
+        assert_eq!(response.status, 503);
+        assert!(
+            response.body.contains("\"degraded\":1"),
+            "{}",
+            response.body
+        );
+        assert!(
+            response.body.contains("budget-exhausted"),
             "{}",
             response.body
         );

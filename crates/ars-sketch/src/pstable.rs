@@ -113,7 +113,7 @@ use crate::{Estimator, EstimatorFactory};
 /// Configuration for [`PStableSketch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PStableConfig {
-    /// The moment order `p ∈ (0, 2]`.
+    /// The moment order `p ∈ [MIN_P, 2]`.
     pub p: f64,
     /// Number of linear measurements; `Θ(1/ε²)`.
     pub rows: usize,
@@ -121,10 +121,10 @@ pub struct PStableConfig {
 
 impl PStableConfig {
     /// Sizes the sketch for a `(1 ± ε)` estimate of `‖f‖_p` with constant
-    /// failure probability.
+    /// failure probability. Panics unless `p ∈ [MIN_P, 2]`.
     #[must_use]
     pub fn for_accuracy(p: f64, epsilon: f64) -> Self {
-        assert!(p > 0.0 && p <= 2.0, "p must lie in (0, 2]");
+        assert_p_in_range(p);
         assert!(epsilon > 0.0 && epsilon < 1.0);
         Self {
             p,
@@ -138,10 +138,11 @@ impl PStableConfig {
     /// `Θ(ε^{-2} log(1/δ))`. The `log(1/δ)` boost is capped (one of the
     /// documented constant substitutions; see the constant-substitution
     /// step of the strategy recipe in `docs/ARCHITECTURE.md`) so the
-    /// composite robust estimators stay laptop-runnable.
+    /// composite robust estimators stay laptop-runnable. Panics unless
+    /// `p ∈ [MIN_P, 2]`.
     #[must_use]
     pub fn for_tracking(p: f64, epsilon: f64, delta: f64) -> Self {
-        assert!(p > 0.0 && p <= 2.0, "p must lie in (0, 2]");
+        assert_p_in_range(p);
         assert!(epsilon > 0.0 && epsilon < 1.0);
         assert!(delta > 0.0 && delta < 1.0);
         let boost = ((1.0 / delta).ln() / 3.0).clamp(1.0, 4.0);
@@ -170,6 +171,15 @@ impl PStableConfig {
 /// documented constant substitution: the paper's `F_p` results cover every
 /// `p ∈ (0, 2]`.
 pub const MIN_P: f64 = 0.1;
+
+/// The one range check on the moment order, shared by both config sizers
+/// and [`PStableSketch::new`]: below [`MIN_P`] the variates overflow.
+fn assert_p_in_range(p: f64) {
+    assert!(
+        (MIN_P..=2.0).contains(&p),
+        "p must lie in [MIN_P, 2] = [{MIN_P}, 2] (got {p})"
+    );
+}
 
 /// Generates a standard p-stable variate from two uniforms in `(0, 1)` via
 /// the Chambers–Mallows–Stuck transform.
@@ -255,10 +265,11 @@ pub struct PStableSketch {
 }
 
 impl PStableSketch {
-    /// Builds the sketch with randomness derived from `seed`.
+    /// Builds the sketch with randomness derived from `seed`. Panics
+    /// unless `config.p ∈ [MIN_P, 2]`.
     #[must_use]
     pub fn new(config: PStableConfig, seed: u64) -> Self {
-        assert!(config.p > 0.0 && config.p <= 2.0);
+        assert_p_in_range(config.p);
         assert!(config.rows > 0);
         let mut rng = StdRng::seed_from_u64(seed);
         let calibration = if Self::is_gaussian(config.p) {
@@ -384,9 +395,9 @@ impl Estimator for PStableSketch {
         }
     }
 
-    /// At `p = 2`, each run of two or more `Δ = ±1` updates (up to
-    /// [`CHUNK`] at a time) goes through the counting kernel; a lone unit
-    /// update and every other `Δ` take the per-row loop, in stream order.
+    /// At `p = 2`, each run of two or more `Δ = ±1` updates (up to 64 at
+    /// a time) goes through the counting kernel; a lone unit update and
+    /// every other `Δ` take the per-row loop, in stream order.
     fn update_batch(&mut self, updates: &[Update]) {
         if !Self::is_gaussian(self.config.p) {
             for &u in updates {
@@ -766,8 +777,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "p must lie in (0, 2]")]
+    #[should_panic(expected = "p must lie in [MIN_P, 2]")]
     fn rejects_p_above_two() {
         let _ = PStableConfig::for_accuracy(3.0, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "p must lie in [MIN_P, 2]")]
+    fn rejects_p_below_min_p() {
+        // p = 0.07 is past the corner where a variate overflows f64.
+        let _ = PStableSketch::new(PStableConfig { p: 0.07, rows: 16 }, 0);
     }
 }

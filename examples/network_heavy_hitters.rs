@@ -10,7 +10,8 @@
 //!
 //! Run with: `cargo run --release --example network_heavy_hitters`
 
-use adversarial_robust_streaming::robust::{ArsError, RobustBuilder};
+use adversarial_robust_streaming::robust::{ArsError, RobustBuilder, RobustEstimator};
+use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::{FrequencyVector, StreamModel, StreamValidator, Update};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
