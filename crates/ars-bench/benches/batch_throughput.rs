@@ -7,14 +7,19 @@
 //! quantifies the win on robust `F₀` and `F_p` and writes the repo's
 //! BENCH_batch_throughput.json trajectory point. Robust `F₂` also runs at
 //! batch 4, the batch perfbench's `fp2-exhaust` tenants send, where the
-//! p = 2 sketch's counting kernel works on four-update chunks.
+//! p = 2 sketch's counting kernel works on four-update chunks. The
+//! `robust_f0/replay` leg times the shape of a restore: a fresh `F₀` pool
+//! at fleet parameters fed ~700 distinct coordinates as one batch; its
+//! `ns_per_update` is per coordinate. The `robust_f0_crypto` legs time the
+//! Theorem 10.1 route, whose batched ingest masks a chunk and hands it to
+//! the KMV ensemble's `update_batch`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use ars_core::{RobustBuilder, Strategy, StreamSession};
+use ars_core::{CryptoBackend, RobustBuilder, Strategy, StreamSession};
 use ars_sketch::Estimator;
 use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
-use ars_stream::{StreamModel, Update, ValidationTier};
+use ars_stream::{FrequencyVector, StreamModel, Update, ValidationTier};
 
 const STREAM: usize = 4_096;
 /// The p-stable sketch-switching pool is far heavier per update than the
@@ -24,6 +29,13 @@ const BATCH: usize = 256;
 /// The batch the `F₂` tenants of perfbench's `fp2-exhaust` fleet send
 /// (`perfbench/fleets/fp2.json`).
 const FLEET_FP_BATCH: usize = 4;
+
+/// The distinct coordinates of the replay leg, about what one
+/// `f0-adversarial` tenant replays on restore.
+const REPLAY: usize = 700;
+/// The fleet's `F₀` parameters (`perfbench/fleets/f0.json`).
+const FLEET_EPSILON: f64 = 0.25;
+const FLEET_M: u64 = 1 << 16;
 
 /// The exact-vs-tiered validation leg: a bounded-deletion stream wide
 /// enough that the pre-tiered `O(m·distinct)` validator visibly dominates.
@@ -43,6 +55,20 @@ fn f0_updates() -> Vec<Update> {
 
 fn fp_updates() -> Vec<Update> {
     ZipfGenerator::new(1 << 12, 1.1, 7).take_updates(FP_STREAM)
+}
+
+/// A restore's replay: the first `REPLAY` distinct coordinates of a Zipf
+/// stream over the fleet domain, one update per coordinate carrying its
+/// count, in item order as a snapshot lists them.
+fn replay_updates() -> Vec<Update> {
+    let mut frequency = FrequencyVector::new();
+    let mut zipf = ZipfGenerator::new(FLEET_M, 1.1, 7);
+    while frequency.f0() < REPLAY as u64 {
+        frequency.apply(zipf.next_update());
+    }
+    let mut replay: Vec<Update> = frequency.iter().map(Update::from).collect();
+    replay.sort_unstable_by_key(|u| u.item);
+    replay
 }
 
 fn builder() -> RobustBuilder {
@@ -74,6 +100,57 @@ fn bench_batching(c: &mut Criterion) {
     group.bench_function("robust_f0/update_batch", |b| {
         b.iter_batched(
             || builder().f0().unwrap(),
+            |mut robust| {
+                for chunk in f0_stream.chunks(BATCH) {
+                    robust.update_batch(chunk);
+                }
+                robust
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    let replay = replay_updates();
+    group.bench_function("robust_f0/replay", |b| {
+        b.iter_batched(
+            || {
+                RobustBuilder::new(FLEET_EPSILON)
+                    .stream_length(FLEET_M)
+                    .domain(FLEET_M)
+                    .seed(9)
+                    .f0()
+                    .unwrap()
+            },
+            |mut robust| {
+                robust.update_batch(&replay);
+                robust
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    let crypto = || {
+        builder()
+            .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+            .f0()
+            .unwrap()
+    };
+    group.bench_function("robust_f0_crypto/per_update", |b| {
+        b.iter_batched(
+            crypto,
+            |mut robust| {
+                for &u in &f0_stream {
+                    robust.update(u);
+                }
+                robust
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    group.bench_function("robust_f0_crypto/update_batch", |b| {
+        b.iter_batched(
+            crypto,
             |mut robust| {
                 for chunk in f0_stream.chunks(BATCH) {
                     robust.update_batch(chunk);
@@ -252,6 +329,8 @@ fn bench_batching(c: &mut Criterion) {
         }
         let stream = if sample.id.contains("fp2") {
             FP_STREAM
+        } else if sample.id.ends_with("/replay") {
+            replay.len()
         } else {
             STREAM
         };
@@ -267,6 +346,7 @@ fn bench_batching(c: &mut Criterion) {
     json.push_str("],\"speedup\":{");
     for (i, (key, estimator, batched)) in [
         ("robust_f0", "robust_f0", "update_batch"),
+        ("robust_f0_crypto", "robust_f0_crypto", "update_batch"),
         ("robust_f0_dp", "robust_f0_dp", "update_batch"),
         ("robust_fp2", "robust_fp2", "update_batch"),
         ("robust_fp2_batch_4", "robust_fp2", "update_batch_4"),

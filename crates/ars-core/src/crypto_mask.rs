@@ -15,6 +15,10 @@ use ars_stream::Update;
 
 use crate::engine::{RoundingMode, StrategyCore};
 
+/// The most masked insertions [`CryptoMask::ingest_batch`] hands the
+/// sketch at once; it sizes the stack buffer they are masked into.
+const MASK_CHUNK: usize = 64;
+
 /// Which keyed-function backend the cryptographic transformation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CryptoBackend {
@@ -85,6 +89,26 @@ impl<E: Estimator + Send> StrategyCore for CryptoMask<E> {
         self.sketch.update(Update::new(masked, update.delta));
     }
 
+    /// Masks the batch's insertions in stream order, so the PRF is
+    /// evaluated in the order [`StrategyCore::ingest`] would evaluate it,
+    /// and hands them to the sketch's `update_batch` one stack chunk at a
+    /// time. Deletions are skipped, as in `ingest`.
+    fn ingest_batch(&mut self, updates: &[Update]) {
+        let mut masked = [Update::insert(0); MASK_CHUNK];
+        let mut n = 0;
+        for u in updates.iter().filter(|u| u.delta > 0) {
+            masked[n] = Update::new(self.prf.evaluate(u.item), u.delta);
+            n += 1;
+            if n == MASK_CHUNK {
+                self.sketch.update_batch(&masked);
+                n = 0;
+            }
+        }
+        if n > 0 {
+            self.sketch.update_batch(&masked[..n]);
+        }
+    }
+
     fn raw_estimate(&self) -> f64 {
         self.sketch.estimate()
     }
@@ -101,5 +125,58 @@ impl<E: Estimator + Send> StrategyCore for CryptoMask<E> {
 
     fn strategy_name(&self) -> &'static str {
         "crypto-mask"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ars_sketch::Estimator;
+    use ars_stream::generator::{Generator, ZipfGenerator};
+    use ars_stream::Update;
+
+    use super::CryptoBackend;
+    use crate::{RobustBuilder, RobustEstimator, Strategy};
+
+    #[test]
+    fn batched_masking_reads_what_per_update_masking_reads() {
+        // Zipf repeats items across batches; every seventh update is a
+        // deletion, which both paths must skip before evaluating the PRF.
+        let stream: Vec<Update> = ZipfGenerator::new(1 << 14, 1.1, 3)
+            .take_updates(3_000)
+            .into_iter()
+            .enumerate()
+            .map(|(t, u)| {
+                if t % 7 == 6 {
+                    Update::delete(u.item)
+                } else {
+                    u
+                }
+            })
+            .collect();
+        for backend in [CryptoBackend::ChaChaPrf, CryptoBackend::RandomOracle] {
+            let build = || {
+                RobustBuilder::new(0.25)
+                    .stream_length(stream.len() as u64)
+                    .domain(1 << 14)
+                    .seed(5)
+                    .strategy(Strategy::Crypto(backend))
+                    .f0()
+                    .unwrap()
+            };
+            for batch in [1, 63, 64, 65, 1_500] {
+                let (mut batched, mut sequential) = (build(), build());
+                for (b, chunk) in stream.chunks(batch).enumerate() {
+                    batched.update_batch(chunk);
+                    for &u in chunk {
+                        sequential.update(u);
+                    }
+                    let (got, want) = (batched.query(), sequential.query());
+                    let at = format!("{backend:?}, batch size {batch}, batch {b}");
+                    assert_eq!(got.value.to_bits(), want.value.to_bits(), "{at}");
+                    assert_eq!(got.guarantee, want.guarantee, "{at}");
+                    assert_eq!(got.health, want.health, "{at}");
+                }
+            }
+        }
     }
 }

@@ -814,6 +814,39 @@ mod tests {
     }
 
     #[test]
+    fn wide_f0_tenants_restore_bitwise_through_a_multi_chunk_replay() {
+        // At ε = 0.25 every KMV keeps k = 1,024 minima, so a replay of
+        // more than 3,000 coordinates spans several k-sized chunks.
+        let spec = ProvisionerSpec::new(ProblemSpec::F0, 0.25)
+            .stream_length(1 << 16)
+            .domain(1 << 16)
+            .seed(29);
+        let mut manager = SessionManager::new();
+        manager.register_spec("wide", spec).unwrap();
+        let stream: Vec<Update> = (0..7_000u64)
+            .map(|t| Update::insert((t * 7_919) % 3_500))
+            .collect();
+        for batch in stream.chunks(256) {
+            manager.update_batch("wide", batch).unwrap();
+        }
+        let frequency = manager.tenants["wide"].session.frequency().unwrap();
+        assert_eq!(frequency.f0(), 3_500);
+        let snapshot = manager.snapshot_json();
+
+        let mut restored = SessionManager::new();
+        assert_eq!(restored.restore_json(&snapshot).unwrap(), 1);
+        assert_eq!(
+            restored.query("wide").unwrap().to_json(),
+            manager.query("wide").unwrap().to_json()
+        );
+        // A second restore replays into the same state: its snapshot is the
+        // first restore's, byte for byte.
+        let mut second = SessionManager::new();
+        second.restore_json(&restored.snapshot_json()).unwrap();
+        assert_eq!(second.snapshot_json(), restored.snapshot_json());
+    }
+
+    #[test]
     fn restored_tenants_keep_serving_and_reprovisioning() {
         let mut manager = SessionManager::new();
         let spec = ProvisionerSpec::new(ProblemSpec::TurnstileFp { p: 2.0, lambda: 2 }, 0.25)

@@ -23,8 +23,17 @@
 //! `GF(2⁶¹ − 1)`, its two coefficients held inline and evaluated with one
 //! 128-bit multiply and one Mersenne reduction.
 //!
-//! Updates are absorbed in chunks of at most 64 (a one-element chunk for
-//! [`Estimator::update`]), using stack arrays only:
+//! Updates are absorbed in chunks by one kernel working in scratch arrays
+//! its caller supplies: [`Estimator::update`] passes one-element arrays, a
+//! batch of at most 64 updates (every live request) is one chunk in
+//! 64-slot stack arrays, and a larger batch (a restore or re-provisioning
+//! replay) allocates its scratch once and is absorbed in chunks of
+//! `max(k, 64)`. The cap is `k` because a chunk absorbed while the sketch
+//! fills sorts every survivor, and survivors past the `k`-th would be
+//! sorted only to be evicted; once the sketch is full the threshold filter
+//! drops most of a chunk anyway. One chunk of `k` pays the block merge
+//! once where 64-update chunks pay it `k/64` times. Each chunk runs three
+//! steps:
 //!
 //! 1. **filter, O(1) per update**: hash every insertion and keep the
 //!    hashes below the threshold as it stood at the start of the chunk
@@ -64,8 +73,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::{Estimator, EstimatorFactory};
 
-/// The most updates one block merge absorbs; it sizes the kernel's stack
-/// arrays.
+/// The stack scratch of a batch of at most this many updates, which is
+/// absorbed as one chunk; a larger batch is absorbed in chunks of
+/// `max(k, CHUNK)` (see the module docs).
 const CHUNK: usize = 64;
 
 /// Configuration for [`KmvSketch`].
@@ -200,16 +210,16 @@ impl KmvSketch {
         }
     }
 
-    /// The batch kernel: folds up to `N` updates into the bottom-k set with
-    /// one block merge (see the module docs). Leaves the same state as
-    /// inserting them one by one.
-    fn absorb<const N: usize>(&mut self, chunk: &[Update]) {
-        debug_assert!(chunk.len() <= N);
+    /// The kernel: folds `chunk` into the bottom-k set with one block merge
+    /// (see the module docs), using `fresh` and `slots` — each at least
+    /// `chunk.len()` long — as scratch. Leaves the same state as inserting
+    /// the updates one by one.
+    fn absorb(&mut self, chunk: &[Update], fresh: &mut [u64], slots: &mut [usize]) {
+        debug_assert!(chunk.len() <= fresh.len() && chunk.len() <= slots.len());
         let k = self.config.k;
         // Every hash is below `p < u64::MAX`, so while the sketch fills
         // nothing is filtered.
         let threshold = self.threshold().unwrap_or(u64::MAX);
-        let mut fresh = [0u64; N];
         let mut n = 0;
         for u in chunk {
             // KMV is defined for insertion-only streams; deletions are
@@ -226,7 +236,6 @@ impl KmvSketch {
         fresh.sort_unstable();
         // Keep each new hash once, with its insertion slot in `bottom`.
         // A hash already stored is a duplicate: it must change nothing.
-        let mut slots = [0usize; N];
         let (mut m, mut previous) = (0, u64::MAX);
         for i in 0..n {
             let h = fresh[i];
@@ -270,12 +279,18 @@ impl KmvSketch {
 
 impl Estimator for KmvSketch {
     fn update(&mut self, update: Update) {
-        self.absorb::<1>(std::slice::from_ref(&update));
+        self.absorb(std::slice::from_ref(&update), &mut [0], &mut [0]);
     }
 
     fn update_batch(&mut self, updates: &[Update]) {
-        for chunk in updates.chunks(CHUNK) {
-            self.absorb::<CHUNK>(chunk);
+        if updates.len() <= CHUNK {
+            self.absorb(updates, &mut [0; CHUNK], &mut [0; CHUNK]);
+            return;
+        }
+        let chunk = self.config.k.max(CHUNK).min(updates.len());
+        let (mut fresh, mut slots) = (vec![0; chunk], vec![0; chunk]);
+        for updates in updates.chunks(chunk) {
+            self.absorb(updates, &mut fresh, &mut slots);
         }
     }
 
@@ -498,6 +513,69 @@ mod tests {
                 let stream = with_deletions(stream);
                 for batch in [1, 3, 16, 63, 64, 65, 200, 5_000] {
                     assert_batches_match(k, seed, &stream, batch);
+                }
+            }
+        }
+    }
+
+    /// A replay whose items come in aliased pairs: `x` and `x + p` hash
+    /// alike (the hash is `c₁x + c₀ mod p`), so the sketch must store one
+    /// hash for both. The batch aliases items of its own (the alias of an
+    /// early item lands chunks later) and, once something is stored, items
+    /// of the prefix already absorbed.
+    fn aliased_batch(prefix: &[Update], base: u64, size: usize) -> Vec<Update> {
+        let half = size.div_ceil(2) as u64;
+        let mut batch: Vec<Update> = (0..half)
+            .map(|j| Update::insert(base + j))
+            .chain(
+                (0..half)
+                    .rev()
+                    .map(|j| Update::insert(base + j + MERSENNE_P)),
+            )
+            .take(size)
+            .collect();
+        for (t, u) in batch.iter_mut().enumerate().skip(2).step_by(5) {
+            if let Some(stored) = prefix.get(t % prefix.len().max(1)) {
+                *u = Update::insert(stored.item + MERSENNE_P);
+            }
+        }
+        batch
+    }
+
+    #[test]
+    fn k_chunk_replays_store_one_hash_per_aliased_pair() {
+        for k in [8usize, 1024] {
+            let config = KmvConfig { k };
+            // An empty, a half-full and a full sketch (the last evicts).
+            for (state, stored) in [("empty", 0), ("half-full", k / 2), ("full", 3 * k)] {
+                let prefix: Vec<Update> = (0..stored as u64).map(Update::insert).collect();
+                for size in [k - 1, k, k + 1, 3 * k + 5] {
+                    let seed = 101 + size as u64;
+                    let mut sketch = KmvSketch::new(config, seed);
+                    let mut reference = ReferenceKmv::new(config, seed);
+                    let capacity = sketch.bottom.capacity();
+                    let batch = aliased_batch(&prefix, 1 << 40, size);
+                    for updates in [&prefix, &batch] {
+                        sketch.update_batch(updates);
+                        for &u in updates.iter() {
+                            reference.update(u);
+                        }
+                    }
+                    let at = format!("k={k}, {state} sketch, batch of {size}");
+                    assert_eq!(sketch.bottom.capacity(), capacity, "{at}: grew");
+                    assert!(
+                        sketch.bottom.windows(2).all(|w| w[0] < w[1]),
+                        "{at}: a hash is stored twice"
+                    );
+                    assert!(
+                        sketch.bottom.iter().eq(reference.bottom.iter()),
+                        "{at}: stored minima differ from the reference"
+                    );
+                    assert_eq!(
+                        sketch.estimate().to_bits(),
+                        reference.estimate().to_bits(),
+                        "{at}"
+                    );
                 }
             }
         }
