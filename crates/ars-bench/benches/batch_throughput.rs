@@ -10,13 +10,18 @@
 //! p = 2 sketch's counting kernel works on four-update chunks. The
 //! `robust_f0/replay` leg times the shape of a restore: a fresh `F₀` pool
 //! at fleet parameters fed ~700 distinct coordinates as one batch; its
-//! `ns_per_update` is per coordinate. The `robust_f0_crypto` legs time the
+//! `ns_per_update` is per coordinate. The `robust_f0/fleet_zipf_64` leg
+//! feeds a fresh pool at the same parameters the traffic perfbench's
+//! `f0-adversarial` tenants send: Zipf(1.1) in batches of 64. That stream
+//! repeats items often, so the pool drops many insertions before its
+//! fan-out; the uniform `update_batch` leg repeats almost none, so it
+//! prices the repeat check alone. The `robust_f0_crypto` legs time the
 //! Theorem 10.1 route, whose batched ingest masks a chunk and hands it to
 //! the KMV ensemble's `update_batch`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use ars_core::{CryptoBackend, RobustBuilder, Strategy, StreamSession};
+use ars_core::{CryptoBackend, DynRobust, RobustBuilder, Strategy, StreamSession};
 use ars_sketch::Estimator;
 use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
 use ars_stream::{FrequencyVector, StreamModel, Update, ValidationTier};
@@ -36,6 +41,8 @@ const REPLAY: usize = 700;
 /// The fleet's `F₀` parameters (`perfbench/fleets/f0.json`).
 const FLEET_EPSILON: f64 = 0.25;
 const FLEET_M: u64 = 1 << 16;
+/// The batch the `F₀` tenants of perfbench's `f0-adversarial` fleet send.
+const FLEET_F0_BATCH: usize = 64;
 
 /// The exact-vs-tiered validation leg: a bounded-deletion stream wide
 /// enough that the pre-tiered `O(m·distinct)` validator visibly dominates.
@@ -69,6 +76,16 @@ fn replay_updates() -> Vec<Update> {
     let mut replay: Vec<Update> = frequency.iter().map(Update::from).collect();
     replay.sort_unstable_by_key(|u| u.item);
     replay
+}
+
+/// A fleet-sized `F₀` pool.
+fn fleet_f0() -> DynRobust {
+    RobustBuilder::new(FLEET_EPSILON)
+        .stream_length(FLEET_M)
+        .domain(FLEET_M)
+        .seed(9)
+        .f0()
+        .unwrap()
 }
 
 fn builder() -> RobustBuilder {
@@ -113,16 +130,23 @@ fn bench_batching(c: &mut Criterion) {
     let replay = replay_updates();
     group.bench_function("robust_f0/replay", |b| {
         b.iter_batched(
-            || {
-                RobustBuilder::new(FLEET_EPSILON)
-                    .stream_length(FLEET_M)
-                    .domain(FLEET_M)
-                    .seed(9)
-                    .f0()
-                    .unwrap()
-            },
+            fleet_f0,
             |mut robust| {
                 robust.update_batch(&replay);
+                robust
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    let fleet_stream = ZipfGenerator::new(FLEET_M, 1.1, 7).take_updates(STREAM);
+    group.bench_function("robust_f0/fleet_zipf_64", |b| {
+        b.iter_batched(
+            fleet_f0,
+            |mut robust| {
+                for chunk in fleet_stream.chunks(FLEET_F0_BATCH) {
+                    robust.update_batch(chunk);
+                }
                 robust
             },
             BatchSize::SmallInput,

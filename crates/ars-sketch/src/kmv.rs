@@ -11,9 +11,13 @@
 //! same `poly(1/ε) + O(log n)`-bits shape (the constant-factor
 //! optimizations of \[6\] are orthogonal to the robustification overhead the
 //! experiments measure). It also has the "ignores repeated items" property
-//! required by the cryptographic transformation of Section 10: an item
-//! whose hash is already present in the bottom-k set leaves the state
-//! unchanged.
+//! required by the cryptographic transformation of Section 10, and
+//! declares it through [`Estimator::duplicate_invariant`]: a repeated
+//! insertion hashes to a value that is either still stored, or was
+//! evicted or never entered and so lies at or above the k-th minimum,
+//! which only falls. Either way the state does not change, and deletions
+//! are ignored outright. The sketch-switching pool in `ars-core` relies on
+//! this to drop a repeat once per pool instead of once per copy.
 //!
 //! # Layout and cost model
 //!
@@ -308,6 +312,13 @@ impl Estimator for KmvSketch {
     fn space_bytes(&self) -> usize {
         // k stored hash values + the 2-wise hash description.
         self.bottom.len().max(self.config.k) * 8 + 2 * 8
+    }
+
+    /// A repeated insertion hashes to a value that is still stored or at
+    /// or above the threshold, and deletions are ignored (see the module
+    /// docs).
+    fn duplicate_invariant(&self) -> bool {
+        true
     }
 }
 

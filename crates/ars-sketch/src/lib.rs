@@ -97,6 +97,19 @@ pub trait Estimator {
     /// space bounds measure; allocator overhead is not modelled.
     fn space_bytes(&self) -> usize;
 
+    /// Whether a repeated insertion is a no-op: an update with `Δ > 0` of
+    /// an item this instance has already received with `Δ > 0` since it
+    /// was built leaves its state bit-identical, whatever updates came in
+    /// between. The sketch-switching pool in `ars-core` drops such
+    /// repeats before its fan-out when every copy declares this, so an
+    /// estimator must answer `true` only if the promise holds for every
+    /// stream, deletions included.
+    ///
+    /// The default is `false`, which is always sound.
+    fn duplicate_invariant(&self) -> bool {
+        false
+    }
+
     /// Convenience: processes a unit insertion of `item`.
     fn insert(&mut self, item: u64) {
         self.update(Update::insert(item));

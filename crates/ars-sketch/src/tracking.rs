@@ -167,6 +167,12 @@ impl<E: Estimator> Estimator for MedianTracking<E> {
     fn space_bytes(&self) -> usize {
         self.copies.iter().map(Estimator::space_bytes).sum()
     }
+
+    /// Every update reaches every copy, so the ensemble ignores a repeat
+    /// exactly when each copy does.
+    fn duplicate_invariant(&self) -> bool {
+        self.copies.iter().all(Estimator::duplicate_invariant)
+    }
 }
 
 /// A factory wrapping another factory so that every built instance is a

@@ -143,7 +143,7 @@ fn routes() -> Vec<Route> {
 
 /// `(problem, strategy, digest)`, in the order [`routes`] builds them.
 const EXPECTED: &[(&str, &str, u64)] = &[
-    ("f0", "switching", 0x06c0cdca5937543b),
+    ("f0", "switching", 0x74479f44204178c3),
     ("f0", "paths", 0x97f0a1a13bdbbef0),
     ("f0", "dp-aggregation", 0x0d1607c13dac2d4a),
     ("f0", "difference-estimators", 0x233a16c011fe4547),
