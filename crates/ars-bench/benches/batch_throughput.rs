@@ -15,7 +15,14 @@
 //! `f0-adversarial` tenants send: Zipf(1.1) in batches of 64. That stream
 //! repeats items often, so the pool drops many insertions before its
 //! fan-out; the uniform `update_batch` leg repeats almost none, so it
-//! prices the repeat check alone. The `robust_f0_crypto` legs time the
+//! prices the repeat check alone. The `robust_f0/fleet11_zipf_64` leg
+//! feeds eleven such pools (the `f0-adversarial` fleet's tenant count)
+//! round-robin, one Zipf(1.1) batch of 64 each in turn, so their ~19.5 MB
+//! of KMV minima outgrow a 2 MB L2 as they do in the fleet; its
+//! `ns_per_update` is per update across all eleven pools. Legs whose code a
+//! change does not touch (`robust_fp2/update_batch` for a change to the
+//! `F₀` pools) are its control: the same code can read 5–30% apart in two
+//! builds. The `robust_f0_crypto` legs time the
 //! Theorem 10.1 route, whose batched ingest masks a chunk and hands it to
 //! the KMV ensemble's `update_batch`.
 
@@ -43,6 +50,8 @@ const FLEET_EPSILON: f64 = 0.25;
 const FLEET_M: u64 = 1 << 16;
 /// The batch the `F₀` tenants of perfbench's `f0-adversarial` fleet send.
 const FLEET_F0_BATCH: usize = 64;
+/// The number of `F₀` tenants in that fleet.
+const FLEET_F0_TENANTS: usize = 11;
 
 /// The exact-vs-tiered validation leg: a bounded-deletion stream wide
 /// enough that the pre-tiered `O(m·distinct)` validator visibly dominates.
@@ -79,11 +88,11 @@ fn replay_updates() -> Vec<Update> {
 }
 
 /// A fleet-sized `F₀` pool.
-fn fleet_f0() -> DynRobust {
+fn fleet_f0(seed: u64) -> DynRobust {
     RobustBuilder::new(FLEET_EPSILON)
         .stream_length(FLEET_M)
         .domain(FLEET_M)
-        .seed(9)
+        .seed(seed)
         .f0()
         .unwrap()
 }
@@ -130,7 +139,7 @@ fn bench_batching(c: &mut Criterion) {
     let replay = replay_updates();
     group.bench_function("robust_f0/replay", |b| {
         b.iter_batched(
-            fleet_f0,
+            || fleet_f0(9),
             |mut robust| {
                 robust.update_batch(&replay);
                 robust
@@ -142,12 +151,34 @@ fn bench_batching(c: &mut Criterion) {
     let fleet_stream = ZipfGenerator::new(FLEET_M, 1.1, 7).take_updates(STREAM);
     group.bench_function("robust_f0/fleet_zipf_64", |b| {
         b.iter_batched(
-            fleet_f0,
+            || fleet_f0(9),
             |mut robust| {
                 for chunk in fleet_stream.chunks(FLEET_F0_BATCH) {
                     robust.update_batch(chunk);
                 }
                 robust
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    let fleet_streams: Vec<Vec<Update>> = (0..FLEET_F0_TENANTS as u64)
+        .map(|tenant| ZipfGenerator::new(FLEET_M, 1.1, 7 + tenant).take_updates(STREAM))
+        .collect();
+    group.bench_function("robust_f0/fleet11_zipf_64", |b| {
+        b.iter_batched(
+            || {
+                (0..FLEET_F0_TENANTS as u64)
+                    .map(|tenant| fleet_f0(9 + tenant))
+                    .collect::<Vec<_>>()
+            },
+            |mut fleet| {
+                for start in (0..STREAM).step_by(FLEET_F0_BATCH) {
+                    for (robust, stream) in fleet.iter_mut().zip(&fleet_streams) {
+                        robust.update_batch(&stream[start..start + FLEET_F0_BATCH]);
+                    }
+                }
+                fleet
             },
             BatchSize::SmallInput,
         );
@@ -355,6 +386,8 @@ fn bench_batching(c: &mut Criterion) {
             FP_STREAM
         } else if sample.id.ends_with("/replay") {
             replay.len()
+        } else if sample.id.ends_with("/fleet11_zipf_64") {
+            FLEET_F0_TENANTS * STREAM
         } else {
             STREAM
         };

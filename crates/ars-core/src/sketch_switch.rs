@@ -2,9 +2,10 @@
 //! restart variant of Theorem 4.1).
 //!
 //! Sketch switching maintains a pool of independent copies of a static
-//! strong-tracking estimator. At every step the update is fed to all
-//! copies (unless it provably changes none, see [Skipping
-//! repeats](#skipping-repeats)), but only the *active* copy's estimate is
+//! strong-tracking estimator. Every update reaches all copies (unless it
+//! provably changes none, see [Skipping repeats](#skipping-repeats); a
+//! copy not being read may receive it later, see [Deferred
+//! fan-out](#deferred-fan-out)), but only the *active* copy's estimate is
 //! consulted. The
 //! [`crate::engine::Robustify`] engine publishes an ε/2-rounded value and
 //! keeps publishing it unchanged as long as it stays within a `(1 ± ε/2)`
@@ -38,10 +39,11 @@
 //! no copy. It keeps a 256-entry direct-mapped table of the items inserted
 //! since it last restarted a copy, and drops an insertion whose item is in
 //! the table before the fan-out. That is sound because every item in the
-//! table has reached every copy now in the pool (the table is emptied in
-//! the `Restart` branch of `on_publish`, where a fresh copy joins), and
-//! each copy ignores a repeat. So every copy's state, every raw estimate
-//! and every published reading are bit-identical to the unfiltered pool's.
+//! table has reached every copy now in the pool, or is queued for it (the
+//! table is emptied in the `Restart` branch of `on_publish`, where a fresh
+//! copy joins), and each copy ignores a repeat. So every copy's state,
+//! every raw estimate and every published reading are bit-identical to the
+//! unfiltered pool's.
 //!
 //! A miss records the item, evicting the slot's previous one, which only
 //! costs a later skip: items chosen to collide (the slot hash is public)
@@ -57,6 +59,42 @@
 //! The table has to be the pool's own. The session's exact frequency
 //! vector would also skip the suffix items a restarted copy has not yet
 //! seen.
+//!
+//! # Deferred fan-out
+//!
+//! Only the active copy is ever read, so only it has to be current. A
+//! pool whose copies declare [`Estimator::duplicate_invariant`] (the same
+//! pools that keep the recent-items table) also keeps a log of up to
+//! 1,024 updates the table let through, with one cursor per copy: copy
+//! `i` has absorbed everything before its cursor. Each live batch (at
+//! most 64 updates) is appended to the log and absorbed at once by the
+//! active copy; then the one other copy with the oldest cursor catches up
+//! on the log in a single `update_batch` call. Most of a KMV copy's cost
+//! per call is bringing its stored minima into cache and merging into
+//! them once, so one call carrying the ~23 batches a copy of a 24-copy
+//! pool falls behind costs far less than 23 calls.
+//!
+//! - When a batch would overflow the log, the copies furthest behind
+//!   catch up until it fits, and the absorbed prefix is dropped.
+//! - A restarted copy was the active one, so its cursor already sits at
+//!   the log's end: the fresh copy sees the suffix from its restart on, as
+//!   before. `on_publish` catches the newly active copy up before anything
+//!   reads it.
+//! - A batch of more than 64 updates (a restore or re-provisioning replay)
+//!   first catches every copy up and then reaches every copy whole, so a
+//!   replay keeps its `max(k, 64)` chunks and a restored pool has nothing
+//!   deferred.
+//!
+//! Every copy absorbs the same filtered sequence as in the eager pool,
+//! only cut into different batches, and [`Estimator::update_batch`]
+//! leaves the state one-at-a-time updates leave. So every copy's state
+//! once caught up, every raw estimate and every published reading are
+//! bit-identical to the eager pool's. The recent-items invariant becomes
+//! "absorbed or queued": every item in the table has been absorbed by
+//! every copy now in the pool or sits in the log past that copy's cursor.
+//! The log is 16,384 B plus 8 B per cursor, counted in `space_bytes`;
+//! every other pool keeps none, because a p-stable copy gains little from
+//! longer batches and the log would add about a tenth to its space.
 
 use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
@@ -126,6 +164,80 @@ impl RecentItems {
 
     fn clear(&mut self) {
         self.valid = [0; RECENT_SLOTS / 64];
+    }
+}
+
+/// Updates the pool log holds: 16 KB.
+const LOG_UPDATES: usize = 1_024;
+
+/// The kept updates not every copy has absorbed yet (see [Deferred
+/// fan-out](self#deferred-fan-out)): copy `i` still has to absorb
+/// `updates[cursors[i]..]`, and the active copy's cursor is always at the
+/// end.
+#[derive(Debug, Clone)]
+struct PoolLog {
+    updates: Vec<Update>,
+    cursors: Vec<usize>,
+}
+
+impl PoolLog {
+    fn new(copies: usize) -> Self {
+        Self {
+            updates: Vec::with_capacity(LOG_UPDATES),
+            cursors: vec![0; copies],
+        }
+    }
+
+    /// Feeds copy `i` everything queued past its cursor, in one batch.
+    fn catch_up<E: Estimator>(&mut self, copies: &mut [E], i: usize) {
+        let pending = &self.updates[self.cursors[i]..];
+        if !pending.is_empty() {
+            copies[i].update_batch(pending);
+        }
+        self.cursors[i] = self.updates.len();
+    }
+
+    /// Catches every copy up and empties the log.
+    fn catch_up_all<E: Estimator>(&mut self, copies: &mut [E]) {
+        for i in 0..copies.len() {
+            self.catch_up(copies, i);
+        }
+        self.updates.clear();
+        self.cursors.fill(0);
+    }
+
+    /// Queues `kept` (at most [`STACK_BATCH`] updates): makes room by
+    /// catching up the copies furthest behind, feeds `kept` to the active
+    /// copy, then catches up the one copy with the oldest cursor.
+    fn push<E: Estimator>(&mut self, copies: &mut [E], active: usize, kept: &[Update]) {
+        if kept.is_empty() {
+            return;
+        }
+        let overflow = (self.updates.len() + kept.len()).saturating_sub(LOG_UPDATES);
+        if overflow > 0 {
+            for i in 0..copies.len() {
+                if self.cursors[i] < overflow {
+                    self.catch_up(copies, i);
+                }
+            }
+            let absorbed = self.cursors.iter().copied().min().unwrap_or(0);
+            self.updates.drain(..absorbed);
+            for cursor in &mut self.cursors {
+                *cursor -= absorbed;
+            }
+        }
+        self.updates.extend_from_slice(kept);
+        copies[active].update_batch(kept);
+        self.cursors[active] = self.updates.len();
+        let oldest = (0..copies.len())
+            .min_by_key(|&i| self.cursors[i])
+            .unwrap_or(active);
+        self.catch_up(copies, oldest);
+    }
+
+    fn space_bytes(&self) -> usize {
+        LOG_UPDATES * std::mem::size_of::<Update>()
+            + self.cursors.len() * std::mem::size_of::<usize>()
     }
 }
 
@@ -232,9 +344,12 @@ pub struct SketchSwitch<F: EstimatorFactory> {
     exhausted: bool,
     /// Seed material for restarted copies.
     next_seed: u64,
-    /// The items every copy has absorbed, kept only when every copy
-    /// declares [`Estimator::duplicate_invariant`].
+    /// The items every copy has absorbed or has queued, kept only when
+    /// every copy declares [`Estimator::duplicate_invariant`].
     recent: Option<Box<RecentItems>>,
+    /// The updates the lazy copies have yet to absorb, kept for the same
+    /// pools as `recent`.
+    log: Option<PoolLog>,
 }
 
 impl<F: EstimatorFactory> SketchSwitch<F> {
@@ -246,19 +361,17 @@ impl<F: EstimatorFactory> SketchSwitch<F> {
         let copies: Vec<F::Output> = (0..config.copies)
             .map(|i| factory.build(derive_seed(seed, i as u64)))
             .collect();
-        let recent = copies
-            .iter()
-            .all(Estimator::duplicate_invariant)
-            .then(|| Box::new(RecentItems::new()));
+        let declared = copies.iter().all(Estimator::duplicate_invariant);
         Self {
             factory,
             config,
-            copies,
             active: 0,
             switches: 0,
             exhausted: false,
             next_seed: derive_seed(seed, config.copies as u64),
-            recent,
+            recent: declared.then(|| Box::new(RecentItems::new())),
+            log: declared.then(|| PoolLog::new(copies.len())),
+            copies,
         }
     }
 
@@ -288,6 +401,13 @@ impl<F: EstimatorFactory> SketchSwitch<F> {
     pub fn pool_size(&self) -> usize {
         self.copies.len()
     }
+
+    /// Brings every copy up to date and empties the log.
+    fn catch_up_all(&mut self) {
+        if let Some(log) = &mut self.log {
+            log.catch_up_all(&mut self.copies);
+        }
+    }
 }
 
 impl<F> StrategyCore for SketchSwitch<F>
@@ -303,6 +423,9 @@ where
         {
             return;
         }
+        if let Some(log) = &mut self.log {
+            return log.push(&mut self.copies, self.active, &[update]);
+        }
         // Feed the update to every copy in the pool (line 6 of Algorithm 1).
         for copy in &mut self.copies {
             copy.update(update);
@@ -313,16 +436,23 @@ where
     /// before the next copy is touched. The copies are independent, so the
     /// final pool state is identical to update-major order, but each
     /// copy's counters stay cache-resident across the batch instead of the
-    /// whole pool being re-fetched per update. Repeats are dropped first
-    /// (see the module docs).
+    /// whole pool being re-fetched per update. Repeats are dropped first,
+    /// and a pool with a log defers all but the active copy (see the
+    /// module docs).
     fn ingest_batch(&mut self, updates: &[Update]) {
+        if updates.len() > STACK_BATCH {
+            self.catch_up_all();
+        }
         let Some(recent) = self.recent.as_deref_mut() else {
             return feed(&mut self.copies, updates);
         };
         if updates.len() <= STACK_BATCH {
             let mut kept = [Update::insert(0); STACK_BATCH];
             let n = recent.filter(updates, &mut kept);
-            feed(&mut self.copies, &kept[..n]);
+            match &mut self.log {
+                Some(log) => log.push(&mut self.copies, self.active, &kept[..n]),
+                None => feed(&mut self.copies, &kept[..n]),
+            }
         } else {
             let mut kept = vec![Update::insert(0); updates.len()];
             let n = recent.filter(updates, &mut kept);
@@ -330,8 +460,14 @@ where
         }
     }
 
-    /// Consults only the active copy.
+    /// Consults only the active copy, which is always caught up.
     fn raw_estimate(&self) -> f64 {
+        debug_assert!(
+            self.log
+                .as_ref()
+                .is_none_or(|log| log.cursors[self.active] == log.updates.len()),
+            "the active copy must have absorbed the whole log"
+        );
         self.copies[self.active].estimate()
     }
 
@@ -354,11 +490,16 @@ where
                 self.copies[retired] = self.factory.build(self.next_seed);
                 self.next_seed = derive_seed(self.next_seed, 1);
                 self.active = (self.active + 1) % self.copies.len();
-                // The fresh copy has absorbed nothing yet.
+                // The fresh copy has absorbed nothing yet. It was the
+                // active copy, so its cursor already sits at the log's end
+                // and it sees only what is queued from now on.
                 if let Some(recent) = &mut self.recent {
                     recent.clear();
                 }
             }
+        }
+        if let Some(log) = &mut self.log {
+            log.catch_up(&mut self.copies, self.active);
         }
     }
 
@@ -372,6 +513,7 @@ where
                 .recent
                 .as_ref()
                 .map_or(0, |_| std::mem::size_of::<RecentItems>())
+            + self.log.as_ref().map_or(0, PoolLog::space_bytes)
     }
 
     fn copies(&self) -> usize {
@@ -561,9 +703,17 @@ mod tests {
     }
 
     /// KMV behind the default `duplicate_invariant() == false`: a pool of
-    /// these keeps no recent-items table, so it is the unfiltered twin.
-    #[derive(Debug, Clone)]
+    /// these keeps no recent-items table and no log, so it is the
+    /// unfiltered, eager twin. It prints as the sketch it wraps, so twin
+    /// copies compare by `Debug`.
+    #[derive(Clone)]
     struct PlainKmv(ars_sketch::KmvSketch);
+
+    impl std::fmt::Debug for PlainKmv {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.fmt(f)
+        }
+    }
 
     impl Estimator for PlainKmv {
         fn update(&mut self, update: Update) {
@@ -615,11 +765,16 @@ mod tests {
         )
     }
 
-    /// Streams `updates` into a filtered pool and its unfiltered twin,
-    /// through `update` when `batch` is 1 and `update_batch` otherwise,
-    /// and checks that every reading matches after every batch. Returns
-    /// the number of switches.
-    fn assert_twins_agree(config: SketchSwitchConfig, updates: &[Update], batch: usize) -> usize {
+    /// Streams `updates` into a filtered, deferring pool and its
+    /// unfiltered, eager twin, cycling through `batches` for the batch
+    /// sizes (1 goes through `update`). Checks every reading after every
+    /// batch, and every copy's state (the filtered pool's once caught up)
+    /// every 50 batches and at the end. Returns the number of switches.
+    fn assert_twins_agree(
+        config: SketchSwitchConfig,
+        updates: &[Update],
+        batches: &[usize],
+    ) -> usize {
         let kmv = KmvFactory {
             config: KmvConfig { k: 32 },
         };
@@ -636,18 +791,35 @@ mod tests {
         };
         let mut filtered = Robustify::new(SketchSwitch::new(filtered, config, 5), plan).unwrap();
         let mut twin = Robustify::new(SketchSwitch::new(twin, config, 5), plan).unwrap();
-        assert!(filtered.core().recent.is_some());
-        assert!(twin.core().recent.is_none());
-        for (t, chunk) in updates.chunks(batch).enumerate() {
-            if batch == 1 {
+        assert!(filtered.core().recent.is_some() && filtered.core().log.is_some());
+        assert!(twin.core().recent.is_none() && twin.core().log.is_none());
+        let copies_agree = |filtered: &Robustify<SketchSwitch<_>>,
+                            twin: &Robustify<SketchSwitch<_>>| {
+            let mut pool = filtered.core().clone();
+            pool.catch_up_all();
+            format!("{:?}", pool.copies) == format!("{:?}", twin.core().copies)
+        };
+        let (mut rest, mut t) = (updates, 0);
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(batches[t % batches.len()].min(rest.len()));
+            rest = tail;
+            if chunk.len() == 1 {
                 filtered.update(chunk[0]);
                 twin.update(chunk[0]);
             } else {
                 filtered.update_batch(chunk);
                 twin.update_batch(chunk);
             }
-            let context = format!("{:?} batch {batch}, step {t}", config.strategy);
+            let context = format!(
+                "{:?} with {} copies, batches {batches:?}, step {t}",
+                config.strategy, config.copies
+            );
             assert_eq!(reading(&filtered), reading(&twin), "{context}");
+            assert_eq!(filtered.core().is_exhausted(), twin.core().is_exhausted());
+            if t % 50 == 0 || rest.is_empty() {
+                assert!(copies_agree(&filtered, &twin), "{context}: copies");
+            }
+            t += 1;
         }
         filtered.core().switches()
     }
@@ -692,9 +864,9 @@ mod tests {
         let exhaustible = SketchSwitchConfig::exhaustible(0.3, 40);
         for (name, updates) in &streams {
             for batch in [1, 8, 64, 65, 700] {
-                let restarts = assert_twins_agree(restart, updates, batch);
+                let restarts = assert_twins_agree(restart, updates, &[batch]);
                 assert!(restarts >= 3, "{name}, batch {batch}: {restarts} restarts");
-                assert_twins_agree(exhaustible, updates, batch);
+                assert_twins_agree(exhaustible, updates, &[batch]);
             }
         }
     }
@@ -756,8 +928,10 @@ mod tests {
         SketchSwitch::new(TallyFactory, config, 0)
     }
 
-    /// What reached each copy of `pool`, which must be the same for all.
-    fn reached(pool: &SketchSwitch<TallyFactory>) -> &[Update] {
+    /// What reached each copy of `pool` once every copy has caught up,
+    /// which must be the same for all.
+    fn reached(pool: &mut SketchSwitch<TallyFactory>) -> &[Update] {
+        pool.catch_up_all();
         let first = &pool.copies[0].0;
         assert!(pool.copies.iter().all(|copy| &copy.0 == first));
         first
@@ -777,7 +951,7 @@ mod tests {
         let mut batched = tally_pool(SwitchStrategy::Exhaustible);
         batched.ingest_batch(&stream);
         // Only the last `b`, which follows a `b`, is a repeat.
-        for pool in [&per_update, &batched] {
+        for pool in [&mut per_update, &mut batched] {
             assert_eq!(reached(pool), &stream[..4]);
         }
     }
@@ -796,7 +970,7 @@ mod tests {
         let mut pool = tally_pool(SwitchStrategy::Exhaustible);
         pool.ingest_batch(&stream);
         // The first insertion of 7 is recorded; the later ones repeat it.
-        assert_eq!(reached(&pool), &stream[..5]);
+        assert_eq!(reached(&mut pool), &stream[..5]);
     }
 
     #[test]
@@ -804,9 +978,11 @@ mod tests {
         let mut pool = tally_pool(SwitchStrategy::Restart);
         pool.ingest(Update::insert(9));
         pool.ingest(Update::insert(9));
+        pool.catch_up_all();
         assert_eq!(pool.copies[1].0, [Update::insert(9)]);
         pool.on_publish();
         pool.ingest(Update::insert(9));
+        pool.catch_up_all();
         // The restarted copy 0 and copy 1 both receive the item again.
         assert_eq!(pool.copies[0].0, [Update::insert(9)]);
         assert_eq!(pool.copies[1].0, [Update::insert(9); 2]);
@@ -815,7 +991,7 @@ mod tests {
         pool.ingest(Update::insert(9));
         pool.on_publish();
         pool.ingest(Update::insert(9));
-        assert_eq!(reached(&pool), [Update::insert(9)]);
+        assert_eq!(reached(&mut pool), [Update::insert(9)]);
     }
 
     #[test]
@@ -828,13 +1004,99 @@ mod tests {
             config: MedianTrackingConfig { copies: 3 },
         };
         let fp2 = SketchSwitch::new(pstable, config, 1);
-        assert!(fp2.recent.is_none());
+        assert!(fp2.recent.is_none() && fp2.log.is_none());
         let copies: usize = fp2.copies.iter().map(Estimator::space_bytes).sum();
         assert_eq!(fp2.space_bytes(), copies + 64);
 
-        let f0 = SketchSwitch::new(tracked_kmv_factory(0.3), config, 1);
-        assert!(f0.recent.is_some());
+        // The fleet's F₀ pool: 24 copies, so its log and cursors take
+        // 16,384 + 24 · 8 = 16,576 B.
+        let config = SketchSwitchConfig::restarting(0.25);
+        let f0 = SketchSwitch::new(tracked_kmv_factory(0.25), config, 1);
+        assert!(f0.recent.is_some() && f0.log.is_some());
+        assert_eq!(f0.pool_size(), 24);
         let copies: usize = f0.copies.iter().map(Estimator::space_bytes).sum();
-        assert_eq!(f0.space_bytes(), copies + 64 + 2_080);
+        assert_eq!(f0.space_bytes(), copies + 64 + 2_080 + 16_576);
+    }
+
+    #[test]
+    fn deferring_copies_changes_no_reading() {
+        // Uniform batches of 64 new items: 23 lazy copies would queue
+        // 1,472 updates, so the log overflows.
+        let fresh: Vec<Update> = (0..16_000u64).map(|i| Update::insert(i * 7 + 1)).collect();
+        let streams = [
+            ("all new", fresh),
+            (
+                "zipf",
+                ZipfGenerator::new(1 << 14, 1.1, 3).take_updates(16_000),
+            ),
+            ("dip hunter", dip_hunter_stream(16_000)),
+        ];
+        // At ε = 0.2 even the 24-copy pool wraps around, so restarted
+        // copies are read again.
+        let restart = |copies| SketchSwitchConfig {
+            epsilon: 0.2,
+            copies,
+            strategy: SwitchStrategy::Restart,
+        };
+        let exhaustible = SketchSwitchConfig::exhaustible(0.3, 40);
+        for (name, updates) in &streams {
+            for batches in [&[1][..], &[8], &[64], &[65], &[64, 1, 8, 700, 64, 65]] {
+                for copies in [3, 24] {
+                    let switches = assert_twins_agree(restart(copies), updates, batches);
+                    // The mixed schedule publishes less often.
+                    let wraps = switches > copies || batches.len() > 1;
+                    assert!(wraps, "{name}, {batches:?}: {switches} switches");
+                }
+                assert_twins_agree(exhaustible, updates, batches);
+            }
+        }
+    }
+
+    #[test]
+    fn an_ingest_feeds_the_active_copy_and_at_most_one_other() {
+        let config = SketchSwitchConfig {
+            epsilon: 0.2,
+            copies: 24,
+            strategy: SwitchStrategy::Restart,
+        };
+        let mut pool = SketchSwitch::new(TallyFactory, config, 0);
+        let (mut next, mut overflows) = (0u64, 0);
+        // 23 lazy copies queue ~23 · 53 updates between catch-ups, more
+        // than the log holds, and every 50th batch is replay-sized.
+        let sizes = [64, 64, 8, 64, 64].into_iter().cycle();
+        for (t, size) in sizes.take(400).enumerate() {
+            let size = if t % 50 == 49 { 100 } else { size };
+            let batch: Vec<Update> = (next..next + size).map(Update::insert).collect();
+            next += size;
+            let before: Vec<usize> = pool.copies.iter().map(|copy| copy.0.len()).collect();
+            let log = pool.log.as_ref().unwrap();
+            let fits = log.updates.len() + batch.len() <= LOG_UPDATES;
+            pool.ingest_batch(&batch);
+            let log = pool.log.as_ref().unwrap();
+            assert!(log.updates.len() <= LOG_UPDATES);
+            assert_eq!(log.cursors[pool.active], log.updates.len());
+            let fed = (0..24)
+                .filter(|&i| pool.copies[i].0.len() > before[i])
+                .count();
+            if batch.len() > STACK_BATCH {
+                // A replay-sized batch reaches every copy, deferring none.
+                assert_eq!((fed, log.updates.len()), (24, 0), "batch {t}");
+            } else if fits {
+                assert!(fed <= 2, "batch {t}: {fed} copies fed without an overflow");
+            } else {
+                overflows += 1;
+            }
+            if t % 37 == 0 {
+                pool.on_publish();
+            }
+        }
+        assert!(overflows > 0, "the log never filled");
+        // Once caught up, every copy holds, in stream order, the whole
+        // suffix since it was last restarted, and a copy never restarted
+        // holds the whole stream.
+        let all: Vec<Update> = (0..next).map(Update::insert).collect();
+        pool.catch_up_all();
+        assert!(pool.copies.iter().all(|copy| all.ends_with(&copy.0)));
+        assert!(pool.copies.iter().any(|copy| copy.0 == all));
     }
 }

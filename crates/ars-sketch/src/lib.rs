@@ -74,6 +74,13 @@ pub trait Estimator {
     /// Processes a batch of updates. The estimate is only specified at
     /// batch boundaries.
     ///
+    /// A batch must leave exactly the state the same updates leave when
+    /// fed one at a time through [`Estimator::update`], however the stream
+    /// is cut into batches: callers rely on this to re-chunk a stream
+    /// freely. A restore replays a tenant's exact state as one batch, and
+    /// the sketch-switching pool in `ars-core` lets copies it does not read
+    /// absorb many live batches in one call.
+    ///
     /// The default calls [`Estimator::update`] once per element. Ensembles
     /// override it to stream the whole batch through one copy before the
     /// next ([`MedianTracking`]), which keeps each copy's state hot in
@@ -142,4 +149,88 @@ pub trait PointQueryEstimator: Estimator {
     /// Returns the current set of candidate heavy items tracked by the
     /// sketch, with their estimated frequencies.
     fn candidates(&self) -> Vec<(u64, f64)>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ars_stream::generator::{Generator, ZipfGenerator};
+    use kmv::KmvFactory;
+
+    /// Feeds `updates` one at a time to one instance and, for each size in
+    /// 1, 63, 64, 65, k − 1, k and k + 1, cut into batches of that size to
+    /// another and split once at that many updates to a third; all three
+    /// must end in the same state (compared through `Debug`, which prints
+    /// every field, KMV's stored minima included) and estimate bits.
+    fn assert_batching_is_invisible<E, B>(name: &str, build: B, k: usize, updates: &[Update])
+    where
+        E: Estimator + std::fmt::Debug,
+        B: Fn() -> E,
+    {
+        let mut single = build();
+        for &u in updates {
+            single.update(u);
+        }
+        let expected = (single.estimate().to_bits(), format!("{single:?}"));
+        for size in [1, 63, 64, 65, k - 1, k, k + 1] {
+            let mut chunked = build();
+            for batch in updates.chunks(size) {
+                chunked.update_batch(batch);
+            }
+            let mut split = build();
+            let (head, tail) = updates.split_at(size.min(updates.len()));
+            split.update_batch(head);
+            split.update_batch(tail);
+            for (cut, sketch) in [("batches of", chunked), ("split at", split)] {
+                let state = (sketch.estimate().to_bits(), format!("{sketch:?}"));
+                assert!(state == expected, "{name}: {cut} {size} updates");
+            }
+        }
+    }
+
+    fn zipf(n: usize) -> Vec<Update> {
+        ZipfGenerator::new(1 << 12, 1.1, 29).take_updates(n)
+    }
+
+    #[test]
+    fn batches_leave_the_state_single_updates_leave() {
+        let updates = zipf(3_000);
+        for k in [16, 128] {
+            let config = KmvConfig { k };
+            assert_batching_is_invisible(
+                &format!("KMV k = {k}"),
+                || KmvSketch::new(config, 3),
+                k,
+                &updates,
+            );
+            let factory = KmvFactory { config };
+            let median = MedianTrackingConfig { copies: 3 };
+            assert_batching_is_invisible(
+                &format!("median of KMV k = {k}"),
+                || MedianTracking::new(&factory, median, 5),
+                k,
+                &updates,
+            );
+        }
+        // Deletions and non-unit updates break the p = 2 counting kernel's
+        // runs of unit updates, so both of its paths are exercised.
+        let turnstile: Vec<Update> = updates
+            .iter()
+            .enumerate()
+            .map(|(t, u)| match t % 7 {
+                3 => Update::delete(u.item),
+                5 => Update::new(u.item, 3),
+                _ => *u,
+            })
+            .collect();
+        for p in [1.0, 2.0] {
+            let config = PStableConfig::for_accuracy(p, 0.3);
+            assert_batching_is_invisible(
+                &format!("p-stable p = {p}"),
+                || PStableSketch::new(config, 7),
+                config.rows,
+                &turnstile,
+            );
+        }
+    }
 }
