@@ -6,8 +6,10 @@
 //! active copy) to one per batch instead of one per update; this bench
 //! quantifies the win on robust `F₀` and `F_p` and writes the repo's
 //! BENCH_batch_throughput.json trajectory point. Robust `F₂` also runs at
-//! batch 4, the batch perfbench's `fp2-exhaust` tenants send, where the
-//! p = 2 sketch's counting kernel works on four-update chunks. The
+//! batch 4, the batch perfbench's `fp2-exhaust` tenants send. There only
+//! the pool's active copy absorbs each four-update batch at once; the
+//! lazy copies catch up on the pool's log, so the p = 2 sketch's counting
+//! kernel works on chunks of up to 64 updates in every copy. The
 //! `robust_f0/replay` leg times the shape of a restore: a fresh `F₀` pool
 //! at fleet parameters fed ~700 distinct coordinates as one batch; its
 //! `ns_per_update` is per coordinate. The `robust_f0/fleet_zipf_64` leg
@@ -20,9 +22,9 @@
 //! round-robin, one Zipf(1.1) batch of 64 each in turn, so their ~19.5 MB
 //! of KMV minima outgrow a 2 MB L2 as they do in the fleet; its
 //! `ns_per_update` is per update across all eleven pools. Legs whose code a
-//! change does not touch (`robust_fp2/update_batch` for a change to the
-//! `F₀` pools) are its control: the same code can read 5–30% apart in two
-//! builds. The `robust_f0_crypto` legs time the
+//! change does not touch are its control (`robust_fp2/update_batch` for a
+//! change to the `F₀` pools, `robust_f0/fleet11_zipf_64` for one to the
+//! `F₂` pools): the same code can read 5–30% apart in two builds. The `robust_f0_crypto` legs time the
 //! Theorem 10.1 route, whose batched ingest masks a chunk and hands it to
 //! the KMV ensemble's `update_batch`.
 

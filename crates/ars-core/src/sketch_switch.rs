@@ -62,17 +62,18 @@
 //!
 //! # Deferred fan-out
 //!
-//! Only the active copy is ever read, so only it has to be current. A
-//! pool whose copies declare [`Estimator::duplicate_invariant`] (the same
-//! pools that keep the recent-items table) also keeps a log of up to
-//! 1,024 updates the table let through, with one cursor per copy: copy
-//! `i` has absorbed everything before its cursor. Each live batch (at
-//! most 64 updates) is appended to the log and absorbed at once by the
-//! active copy; then the one other copy with the oldest cursor catches up
-//! on the log in a single `update_batch` call. Most of a KMV copy's cost
-//! per call is bringing its stored minima into cache and merging into
-//! them once, so one call carrying the ~23 batches a copy of a 24-copy
-//! pool falls behind costs far less than 23 calls.
+//! Only the active copy is ever read, so only it has to be current. Every
+//! pool keeps a log of the updates its table let through (all of them,
+//! in a pool without a table), with one cursor per copy: copy `i` has
+//! absorbed everything before its cursor. Each live batch (at most 64
+//! updates) is appended to the log and absorbed at once by the active
+//! copy; then the one other copy with the oldest cursor catches up on the
+//! log in a single `update_batch` call. A copy pays a fixed cost per
+//! call: a KMV copy brings its stored minima into cache and merges into
+//! them once, and the p = 2 p-stable kernel adds to every row once per
+//! chunk of up to 64 unit updates. So one call carrying the ~40 batches of
+//! 4 a copy of a 41-copy `F₂` pool falls behind costs far less than 40
+//! calls.
 //!
 //! - When a batch would overflow the log, the copies furthest behind
 //!   catch up until it fits, and the absorbed prefix is dropped.
@@ -84,17 +85,26 @@
 //!   first catches every copy up and then reaches every copy whole, so a
 //!   replay keeps its `max(k, 64)` chunks and a restored pool has nothing
 //!   deferred.
+//! - In an [`SwitchStrategy::Exhaustible`] pool the copies before the
+//!   active one are retired for good and never read again, so they absorb
+//!   nothing more: only the copies from the active one on count for the
+//!   catch-ups and the drain, and a replay reaches only them.
 //!
-//! Every copy absorbs the same filtered sequence as in the eager pool,
-//! only cut into different batches, and [`Estimator::update_batch`]
-//! leaves the state one-at-a-time updates leave. So every copy's state
-//! once caught up, every raw estimate and every published reading are
-//! bit-identical to the eager pool's. The recent-items invariant becomes
-//! "absorbed or queued": every item in the table has been absorbed by
-//! every copy now in the pool or sits in the log past that copy's cursor.
-//! The log is 16,384 B plus 8 B per cursor, counted in `space_bytes`;
-//! every other pool keeps none, because a p-stable copy gains little from
-//! longer batches and the log would add about a tenth to its space.
+//! The log's updates take a 64th of the copies' space (one 16-byte update
+//! per KiB of copy state), clamped to 64–1,024 updates. The `F₀` fleet
+//! pools (~1.75 MB of KMV copies) keep 1,024 updates. A fleet `F₂` pool
+//! (41 copies of 461 rows, 3,752 B each) keeps 150, a little fewer than
+//! the ~160 its 40 lazy copies fall behind between two catch-ups of one
+//! copy. The log and its cursors are counted in `space_bytes`.
+//!
+//! Every copy still read absorbs the same filtered sequence as in the
+//! eager pool, only cut into different batches, and
+//! [`Estimator::update_batch`] leaves the state one-at-a-time updates
+//! leave. So every such copy's state once caught up, every raw estimate
+//! and every published reading are bit-identical to the eager pool's. The
+//! recent-items invariant becomes "absorbed or queued": every item in the
+//! table has been absorbed by every copy now in the pool or sits in the
+//! log past that copy's cursor.
 
 use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
@@ -167,24 +177,37 @@ impl RecentItems {
     }
 }
 
-/// Updates the pool log holds: 16 KB.
-const LOG_UPDATES: usize = 1_024;
+/// A pool log's updates take this fraction's inverse of the copies'
+/// space, before the clamp to [`LOG_MIN_UPDATES`, `LOG_MAX_UPDATES`].
+const LOG_SPACE_DIVISOR: usize = 64;
+/// The fewest updates a pool log holds: one live batch always fits.
+const LOG_MIN_UPDATES: usize = STACK_BATCH;
+/// The most updates a pool log holds: 16 KB.
+const LOG_MAX_UPDATES: usize = 1_024;
 
 /// The kept updates not every copy has absorbed yet (see [Deferred
 /// fan-out](self#deferred-fan-out)): copy `i` still has to absorb
 /// `updates[cursors[i]..]`, and the active copy's cursor is always at the
-/// end.
+/// end. Methods taking `first` act on copies `first..` only; the copies
+/// before it are retired and their cursors are stale.
 #[derive(Debug, Clone)]
 struct PoolLog {
     updates: Vec<Update>,
     cursors: Vec<usize>,
+    /// The most updates the log holds.
+    capacity: usize,
 }
 
 impl PoolLog {
-    fn new(copies: usize) -> Self {
+    /// A log sized from the copies' own space (see the module docs).
+    fn new<E: Estimator>(copies: &[E]) -> Self {
+        let space: usize = copies.iter().map(Estimator::space_bytes).sum();
+        let capacity = (space / LOG_SPACE_DIVISOR / std::mem::size_of::<Update>())
+            .clamp(LOG_MIN_UPDATES, LOG_MAX_UPDATES);
         Self {
-            updates: Vec::with_capacity(LOG_UPDATES),
-            cursors: vec![0; copies],
+            updates: Vec::with_capacity(capacity),
+            cursors: vec![0; copies.len()],
+            capacity,
         }
     }
 
@@ -197,9 +220,9 @@ impl PoolLog {
         self.cursors[i] = self.updates.len();
     }
 
-    /// Catches every copy up and empties the log.
-    fn catch_up_all<E: Estimator>(&mut self, copies: &mut [E]) {
-        for i in 0..copies.len() {
+    /// Catches every copy from `first` on up and empties the log.
+    fn catch_up_all<E: Estimator>(&mut self, copies: &mut [E], first: usize) {
+        for i in first..copies.len() {
             self.catch_up(copies, i);
         }
         self.updates.clear();
@@ -209,34 +232,40 @@ impl PoolLog {
     /// Queues `kept` (at most [`STACK_BATCH`] updates): makes room by
     /// catching up the copies furthest behind, feeds `kept` to the active
     /// copy, then catches up the one copy with the oldest cursor.
-    fn push<E: Estimator>(&mut self, copies: &mut [E], active: usize, kept: &[Update]) {
+    fn push<E: Estimator>(
+        &mut self,
+        copies: &mut [E],
+        first: usize,
+        active: usize,
+        kept: &[Update],
+    ) {
         if kept.is_empty() {
             return;
         }
-        let overflow = (self.updates.len() + kept.len()).saturating_sub(LOG_UPDATES);
+        let overflow = (self.updates.len() + kept.len()).saturating_sub(self.capacity);
         if overflow > 0 {
-            for i in 0..copies.len() {
+            for i in first..copies.len() {
                 if self.cursors[i] < overflow {
                     self.catch_up(copies, i);
                 }
             }
-            let absorbed = self.cursors.iter().copied().min().unwrap_or(0);
+            let absorbed = self.cursors[first..].iter().copied().min().unwrap_or(0);
             self.updates.drain(..absorbed);
-            for cursor in &mut self.cursors {
+            for cursor in &mut self.cursors[first..] {
                 *cursor -= absorbed;
             }
         }
         self.updates.extend_from_slice(kept);
         copies[active].update_batch(kept);
         self.cursors[active] = self.updates.len();
-        let oldest = (0..copies.len())
+        let oldest = (first..copies.len())
             .min_by_key(|&i| self.cursors[i])
             .unwrap_or(active);
         self.catch_up(copies, oldest);
     }
 
     fn space_bytes(&self) -> usize {
-        LOG_UPDATES * std::mem::size_of::<Update>()
+        self.capacity * std::mem::size_of::<Update>()
             + self.cursors.len() * std::mem::size_of::<usize>()
     }
 }
@@ -347,9 +376,8 @@ pub struct SketchSwitch<F: EstimatorFactory> {
     /// The items every copy has absorbed or has queued, kept only when
     /// every copy declares [`Estimator::duplicate_invariant`].
     recent: Option<Box<RecentItems>>,
-    /// The updates the lazy copies have yet to absorb, kept for the same
-    /// pools as `recent`.
-    log: Option<PoolLog>,
+    /// The updates the lazy copies have yet to absorb.
+    log: PoolLog,
 }
 
 impl<F: EstimatorFactory> SketchSwitch<F> {
@@ -370,7 +398,7 @@ impl<F: EstimatorFactory> SketchSwitch<F> {
             exhausted: false,
             next_seed: derive_seed(seed, config.copies as u64),
             recent: declared.then(|| Box::new(RecentItems::new())),
-            log: declared.then(|| PoolLog::new(copies.len())),
+            log: PoolLog::new(&copies),
             copies,
         }
     }
@@ -402,11 +430,20 @@ impl<F: EstimatorFactory> SketchSwitch<F> {
         self.copies.len()
     }
 
-    /// Brings every copy up to date and empties the log.
-    fn catch_up_all(&mut self) {
-        if let Some(log) = &mut self.log {
-            log.catch_up_all(&mut self.copies);
+    /// The first copy that may still be read: an exhaustible pool never
+    /// returns to the copies before the active one.
+    fn first_live(&self) -> usize {
+        match self.config.strategy {
+            SwitchStrategy::Exhaustible => self.active,
+            SwitchStrategy::Restart => 0,
         }
+    }
+
+    /// Brings every copy that may still be read up to date and empties
+    /// the log.
+    fn catch_up_all(&mut self) {
+        let first = self.first_live();
+        self.log.catch_up_all(&mut self.copies, first);
     }
 }
 
@@ -416,56 +453,43 @@ where
     F::Output: Send,
 {
     fn ingest(&mut self, update: Update) {
-        if self
-            .recent
-            .as_mut()
-            .is_some_and(|recent| recent.is_repeat(update))
-        {
-            return;
-        }
-        if let Some(log) = &mut self.log {
-            return log.push(&mut self.copies, self.active, &[update]);
-        }
-        // Feed the update to every copy in the pool (line 6 of Algorithm 1).
-        for copy in &mut self.copies {
-            copy.update(update);
-        }
+        self.ingest_batch(&[update]);
     }
 
-    /// Copy-major batch ingestion: each copy streams the whole batch
-    /// before the next copy is touched. The copies are independent, so the
-    /// final pool state is identical to update-major order, but each
-    /// copy's counters stay cache-resident across the batch instead of the
-    /// whole pool being re-fetched per update. Repeats are dropped first,
-    /// and a pool with a log defers all but the active copy (see the
-    /// module docs).
+    /// Repeats are dropped first. A live batch reaches the active copy and
+    /// the log (see the module docs). A replay-sized batch catches every
+    /// copy up, then goes copy-major: each copy streams the whole batch
+    /// before the next copy is touched, so each copy's counters stay
+    /// cache-resident across it.
     fn ingest_batch(&mut self, updates: &[Update]) {
-        if updates.len() > STACK_BATCH {
-            self.catch_up_all();
-        }
-        let Some(recent) = self.recent.as_deref_mut() else {
-            return feed(&mut self.copies, updates);
-        };
+        let first = self.first_live();
         if updates.len() <= STACK_BATCH {
-            let mut kept = [Update::insert(0); STACK_BATCH];
-            let n = recent.filter(updates, &mut kept);
-            match &mut self.log {
-                Some(log) => log.push(&mut self.copies, self.active, &kept[..n]),
-                None => feed(&mut self.copies, &kept[..n]),
+            let mut buffer = [Update::insert(0); STACK_BATCH];
+            let kept = match self.recent.as_deref_mut() {
+                Some(recent) => {
+                    let n = recent.filter(updates, &mut buffer);
+                    &buffer[..n]
+                }
+                None => updates,
+            };
+            return self.log.push(&mut self.copies, first, self.active, kept);
+        }
+        self.catch_up_all();
+        let live = &mut self.copies[first..];
+        match self.recent.as_deref_mut() {
+            Some(recent) => {
+                let mut kept = vec![Update::insert(0); updates.len()];
+                let n = recent.filter(updates, &mut kept);
+                feed(live, &kept[..n]);
             }
-        } else {
-            let mut kept = vec![Update::insert(0); updates.len()];
-            let n = recent.filter(updates, &mut kept);
-            feed(&mut self.copies, &kept[..n]);
+            None => feed(live, updates),
         }
     }
 
     /// Consults only the active copy, which is always caught up.
     fn raw_estimate(&self) -> f64 {
         debug_assert!(
-            self.log
-                .as_ref()
-                .is_none_or(|log| log.cursors[self.active] == log.updates.len()),
+            self.log.cursors[self.active] == self.log.updates.len(),
             "the active copy must have absorbed the whole log"
         );
         self.copies[self.active].estimate()
@@ -498,9 +522,7 @@ where
                 }
             }
         }
-        if let Some(log) = &mut self.log {
-            log.catch_up(&mut self.copies, self.active);
-        }
+        self.log.catch_up(&mut self.copies, self.active);
     }
 
     fn space_bytes(&self) -> usize {
@@ -513,7 +535,7 @@ where
                 .recent
                 .as_ref()
                 .map_or(0, |_| std::mem::size_of::<RecentItems>())
-            + self.log.as_ref().map_or(0, PoolLog::space_bytes)
+            + self.log.space_bytes()
     }
 
     fn copies(&self) -> usize {
@@ -702,126 +724,145 @@ mod tests {
         assert_eq!(robust.estimate(), 0.0);
     }
 
-    /// KMV behind the default `duplicate_invariant() == false`: a pool of
-    /// these keeps no recent-items table and no log, so it is the
-    /// unfiltered, eager twin. It prints as the sketch it wraps, so twin
-    /// copies compare by `Debug`.
-    #[derive(Clone)]
-    struct PlainKmv(ars_sketch::KmvSketch);
+    /// The eager reference: Algorithm 1 as written, every update reaching
+    /// every copy at once. It drives the copies and the switching of a
+    /// [`SketchSwitch`] directly, so that pool's table and log stay empty
+    /// and its `on_publish` has nobody to catch up.
+    struct Eager<F: EstimatorFactory>(SketchSwitch<F>);
 
-    impl std::fmt::Debug for PlainKmv {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            self.0.fmt(f)
-        }
-    }
-
-    impl Estimator for PlainKmv {
-        fn update(&mut self, update: Update) {
-            self.0.update(update);
-        }
-
-        fn update_batch(&mut self, updates: &[Update]) {
-            self.0.update_batch(updates);
+    impl<F> StrategyCore for Eager<F>
+    where
+        F: EstimatorFactory + Send,
+        F::Output: Send,
+    {
+        fn ingest(&mut self, update: Update) {
+            for copy in &mut self.0.copies {
+                copy.update(update);
+            }
         }
 
-        fn estimate(&self) -> f64 {
-            self.0.estimate()
+        fn ingest_batch(&mut self, updates: &[Update]) {
+            feed(&mut self.0.copies, updates);
+        }
+
+        fn raw_estimate(&self) -> f64 {
+            self.0.raw_estimate()
+        }
+
+        fn on_publish(&mut self) {
+            self.0.on_publish();
         }
 
         fn space_bytes(&self) -> usize {
             self.0.space_bytes()
         }
-    }
 
-    #[derive(Debug, Clone, Copy)]
-    struct PlainKmvFactory(KmvFactory);
-
-    impl EstimatorFactory for PlainKmvFactory {
-        type Output = PlainKmv;
-
-        fn build(&self, seed: u64) -> PlainKmv {
-            PlainKmv(self.0.build(seed))
+        fn copies(&self) -> usize {
+            self.0.copies()
         }
 
-        fn name(&self) -> String {
-            format!("plain {}", self.0.name())
+        fn strategy_name(&self) -> &'static str {
+            "eager sketch-switching"
         }
     }
 
     /// Everything a pool shows: the reading's JSON, the value and raw
     /// estimate bits, the output changes, the switches and the active copy.
-    fn reading<F>(robust: &Robustify<SketchSwitch<F>>) -> (String, u64, u64, usize, usize, usize)
+    fn reading<C, F>(
+        robust: &Robustify<C>,
+        pool: &SketchSwitch<F>,
+    ) -> (String, u64, u64, usize, usize, usize)
     where
-        F: EstimatorFactory + Send,
-        F::Output: Send,
+        C: StrategyCore,
+        F: EstimatorFactory,
     {
         (
             robust.query().to_json(),
             robust.estimate().to_bits(),
             robust.core().raw_estimate().to_bits(),
             robust.output_changes(),
-            robust.core().switches(),
-            robust.core().active_index(),
+            pool.switches(),
+            pool.active_index(),
         )
     }
 
-    /// Streams `updates` into a filtered, deferring pool and its
-    /// unfiltered, eager twin, cycling through `batches` for the batch
-    /// sizes (1 goes through `update`). Checks every reading after every
-    /// batch, and every copy's state (the filtered pool's once caught up)
-    /// every 50 batches and at the end. Returns the number of switches.
-    fn assert_twins_agree(
+    /// Streams `updates` into a pool of `factory`'s copies and into its
+    /// eager reference, cycling through `batches` for the batch sizes (1
+    /// goes through `update`). Checks every reading after every batch, and
+    /// the state of every copy that may still be read (the pool's once
+    /// caught up) every 50 batches and at the end. Returns the number of
+    /// switches.
+    fn assert_twins_agree<F>(
+        factory: F,
         config: SketchSwitchConfig,
         updates: &[Update],
         batches: &[usize],
-    ) -> usize {
-        let kmv = KmvFactory {
-            config: KmvConfig { k: 32 },
-        };
-        let median = MedianTrackingConfig { copies: 3 };
+    ) -> usize
+    where
+        F: EstimatorFactory + Clone + Send,
+        F::Output: Clone + Send + std::fmt::Debug,
+    {
         let mut plan = RobustPlan::new(config.epsilon, 10_000);
         plan.domain = 1 << 20;
-        let filtered = MedianTrackingFactory {
-            inner: kmv,
-            config: median,
-        };
-        let twin = MedianTrackingFactory {
-            inner: PlainKmvFactory(kmv),
-            config: median,
-        };
-        let mut filtered = Robustify::new(SketchSwitch::new(filtered, config, 5), plan).unwrap();
-        let mut twin = Robustify::new(SketchSwitch::new(twin, config, 5), plan).unwrap();
-        assert!(filtered.core().recent.is_some() && filtered.core().log.is_some());
-        assert!(twin.core().recent.is_none() && twin.core().log.is_none());
-        let copies_agree = |filtered: &Robustify<SketchSwitch<_>>,
-                            twin: &Robustify<SketchSwitch<_>>| {
-            let mut pool = filtered.core().clone();
+        let mut lazy = Robustify::new(SketchSwitch::new(factory.clone(), config, 5), plan).unwrap();
+        let mut eager = Robustify::new(Eager(SketchSwitch::new(factory, config, 5)), plan).unwrap();
+        let copies_agree = |lazy: &SketchSwitch<F>, eager: &SketchSwitch<F>| {
+            let mut pool = lazy.clone();
             pool.catch_up_all();
-            format!("{:?}", pool.copies) == format!("{:?}", twin.core().copies)
+            let first = pool.first_live();
+            format!("{:?}", &pool.copies[first..]) == format!("{:?}", &eager.copies[first..])
         };
         let (mut rest, mut t) = (updates, 0);
         while !rest.is_empty() {
             let (chunk, tail) = rest.split_at(batches[t % batches.len()].min(rest.len()));
             rest = tail;
             if chunk.len() == 1 {
-                filtered.update(chunk[0]);
-                twin.update(chunk[0]);
+                lazy.update(chunk[0]);
+                eager.update(chunk[0]);
             } else {
-                filtered.update_batch(chunk);
-                twin.update_batch(chunk);
+                lazy.update_batch(chunk);
+                eager.update_batch(chunk);
             }
             let context = format!(
                 "{:?} with {} copies, batches {batches:?}, step {t}",
                 config.strategy, config.copies
             );
-            assert_eq!(reading(&filtered), reading(&twin), "{context}");
-            assert_eq!(filtered.core().is_exhausted(), twin.core().is_exhausted());
+            let (pool, reference) = (lazy.core(), &eager.core().0);
+            assert_eq!(
+                reading(&lazy, pool),
+                reading(&eager, reference),
+                "{context}"
+            );
+            assert_eq!(pool.is_exhausted(), reference.is_exhausted());
             if t % 50 == 0 || rest.is_empty() {
-                assert!(copies_agree(&filtered, &twin), "{context}: copies");
+                assert!(copies_agree(pool, reference), "{context}: copies");
             }
             t += 1;
         }
-        filtered.core().switches()
+        lazy.core().switches()
+    }
+
+    /// The KMV ensemble of the twin tests: three copies of k = 32.
+    fn small_kmv() -> MedianTrackingFactory<KmvFactory> {
+        MedianTrackingFactory {
+            inner: KmvFactory {
+                config: KmvConfig { k: 32 },
+            },
+            config: MedianTrackingConfig { copies: 3 },
+        }
+    }
+
+    /// A p-stable copy of `rows` rows.
+    fn pstable(p: f64, rows: usize) -> PStableFactory {
+        PStableFactory {
+            config: PStableConfig { p, rows },
+        }
+    }
+
+    /// A fleet `F₂` tenant's pool (`perfbench/fleets/fp2.json`, ε = 0.4):
+    /// 41 restarting copies, of 461 rows each in the fleet.
+    fn fleet_fp() -> SketchSwitchConfig {
+        SketchSwitchConfig::restarting_for_moment(0.4, 2.0)
     }
 
     /// Runs of fresh items alternate with runs that replay a few items
@@ -864,9 +905,9 @@ mod tests {
         let exhaustible = SketchSwitchConfig::exhaustible(0.3, 40);
         for (name, updates) in &streams {
             for batch in [1, 8, 64, 65, 700] {
-                let restarts = assert_twins_agree(restart, updates, &[batch]);
+                let restarts = assert_twins_agree(small_kmv(), restart, updates, &[batch]);
                 assert!(restarts >= 3, "{name}, batch {batch}: {restarts} restarts");
-                assert_twins_agree(exhaustible, updates, &[batch]);
+                assert_twins_agree(small_kmv(), exhaustible, updates, &[batch]);
             }
         }
     }
@@ -883,7 +924,8 @@ mod tests {
     }
 
     /// Records every update it receives and claims to ignore repeats, so
-    /// a pool of these shows exactly what its table lets through.
+    /// a pool of these shows exactly what its table lets through. It
+    /// reports 64 KiB, so a pool of 16 or more keeps the longest log.
     #[derive(Debug, Clone, Default)]
     struct Tally(Vec<Update>);
 
@@ -897,7 +939,7 @@ mod tests {
         }
 
         fn space_bytes(&self) -> usize {
-            8
+            1 << 16
         }
 
         fn duplicate_invariant(&self) -> bool {
@@ -919,10 +961,10 @@ mod tests {
         }
     }
 
-    fn tally_pool(strategy: SwitchStrategy) -> SketchSwitch<TallyFactory> {
+    fn tally_pool(strategy: SwitchStrategy, copies: usize) -> SketchSwitch<TallyFactory> {
         let config = SketchSwitchConfig {
             epsilon: 0.2,
-            copies: 2,
+            copies,
             strategy,
         };
         SketchSwitch::new(TallyFactory, config, 0)
@@ -937,6 +979,10 @@ mod tests {
         first
     }
 
+    fn inserts(items: std::ops::Range<u64>) -> Vec<Update> {
+        items.map(Update::insert).collect()
+    }
+
     #[test]
     fn items_sharing_a_slot_both_reach_the_copies() {
         let a = 1u64;
@@ -944,11 +990,11 @@ mod tests {
             .find(|&b| RecentItems::slot(b) == RecentItems::slot(a))
             .unwrap();
         let stream: Vec<Update> = [a, b, a, b, b].map(Update::insert).to_vec();
-        let mut per_update = tally_pool(SwitchStrategy::Exhaustible);
+        let mut per_update = tally_pool(SwitchStrategy::Exhaustible, 2);
         for &u in &stream {
             per_update.ingest(u);
         }
-        let mut batched = tally_pool(SwitchStrategy::Exhaustible);
+        let mut batched = tally_pool(SwitchStrategy::Exhaustible, 2);
         batched.ingest_batch(&stream);
         // Only the last `b`, which follows a `b`, is a repeat.
         for pool in [&mut per_update, &mut batched] {
@@ -967,7 +1013,7 @@ mod tests {
             Update::insert(7),
             Update::new(7, 3),
         ];
-        let mut pool = tally_pool(SwitchStrategy::Exhaustible);
+        let mut pool = tally_pool(SwitchStrategy::Exhaustible, 2);
         pool.ingest_batch(&stream);
         // The first insertion of 7 is recorded; the later ones repeat it.
         assert_eq!(reached(&mut pool), &stream[..5]);
@@ -975,7 +1021,7 @@ mod tests {
 
     #[test]
     fn a_restart_empties_the_table() {
-        let mut pool = tally_pool(SwitchStrategy::Restart);
+        let mut pool = tally_pool(SwitchStrategy::Restart, 2);
         pool.ingest(Update::insert(9));
         pool.ingest(Update::insert(9));
         pool.catch_up_all();
@@ -987,7 +1033,7 @@ mod tests {
         assert_eq!(pool.copies[0].0, [Update::insert(9)]);
         assert_eq!(pool.copies[1].0, [Update::insert(9); 2]);
         // An exhaustible pool never restarts a copy, so it keeps skipping.
-        let mut pool = tally_pool(SwitchStrategy::Exhaustible);
+        let mut pool = tally_pool(SwitchStrategy::Exhaustible, 2);
         pool.ingest(Update::insert(9));
         pool.on_publish();
         pool.ingest(Update::insert(9));
@@ -995,27 +1041,61 @@ mod tests {
     }
 
     #[test]
-    fn only_declaring_pools_keep_a_table() {
-        let config = SketchSwitchConfig::restarting_for_moment(0.3, 2.0);
-        let pstable = MedianTrackingFactory {
-            inner: PStableFactory {
-                config: PStableConfig::for_tracking(2.0, 0.15, 0.01),
-            },
-            config: MedianTrackingConfig { copies: 3 },
-        };
-        let fp2 = SketchSwitch::new(pstable, config, 1);
-        assert!(fp2.recent.is_none() && fp2.log.is_none());
-        let copies: usize = fp2.copies.iter().map(Estimator::space_bytes).sum();
-        assert_eq!(fp2.space_bytes(), copies + 64);
+    fn a_retired_copy_receives_nothing_more() {
+        let mut pool = tally_pool(SwitchStrategy::Exhaustible, 3);
+        pool.ingest_batch(&inserts(0..8));
+        pool.on_publish();
+        // Copy 0 is retired: single updates, live batches and a
+        // replay-sized batch reach only copies 1 and 2.
+        pool.ingest(Update::insert(8));
+        pool.ingest_batch(&inserts(9..20));
+        pool.ingest_batch(&inserts(20..200));
+        pool.ingest_batch(&inserts(200..210));
+        pool.catch_up_all();
+        assert_eq!(pool.copies[0].0, inserts(0..8));
+        assert_eq!(pool.copies[1].0, inserts(0..210));
+        assert_eq!(pool.copies[2].0, inserts(0..210));
+        // The pool runs out: copy 2 stays active, and only it absorbs.
+        pool.on_publish();
+        pool.on_publish();
+        assert!(pool.is_exhausted() && pool.active_index() == 2);
+        pool.ingest_batch(&inserts(210..220));
+        pool.ingest_batch(&inserts(220..300));
+        pool.ingest(Update::insert(300));
+        pool.catch_up_all();
+        assert_eq!(pool.copies[1].0, inserts(0..210));
+        assert_eq!(pool.copies[2].0, inserts(0..301));
+    }
 
-        // The fleet's F₀ pool: 24 copies, so its log and cursors take
+    #[test]
+    fn every_pool_keeps_a_log_only_declaring_pools_keep_a_table() {
+        // The fleet's F₂ pool: 41 copies of 3,752 B, so its log holds
+        // 41 · 3,752 / 64 / 16 = 150 updates.
+        let fp2 = SketchSwitch::new(pstable(2.0, 461), fleet_fp(), 1);
+        assert!(fp2.recent.is_none());
+        let copies: usize = fp2.copies.iter().map(Estimator::space_bytes).sum();
+        assert_eq!((fp2.pool_size(), copies), (41, 41 * 3_752));
+        assert_eq!(fp2.log.capacity, 150);
+        assert_eq!(fp2.space_bytes(), copies + 64 + 150 * 16 + 41 * 8);
+
+        // The fleet's F₀ pool: 24 copies of 9 KMV sketches (~1.75 MB), so
+        // its log holds the most updates, and the log and cursors take
         // 16,384 + 24 · 8 = 16,576 B.
         let config = SketchSwitchConfig::restarting(0.25);
-        let f0 = SketchSwitch::new(tracked_kmv_factory(0.25), config, 1);
-        assert!(f0.recent.is_some() && f0.log.is_some());
-        assert_eq!(f0.pool_size(), 24);
+        let fleet_kmv = MedianTrackingFactory {
+            config: MedianTrackingConfig { copies: 9 },
+            ..tracked_kmv_factory(0.25)
+        };
+        let f0 = SketchSwitch::new(fleet_kmv, config, 1);
+        assert!(f0.recent.is_some());
+        assert_eq!((f0.pool_size(), f0.log.capacity), (24, LOG_MAX_UPDATES));
         let copies: usize = f0.copies.iter().map(Estimator::space_bytes).sum();
         assert_eq!(f0.space_bytes(), copies + 64 + 2_080 + 16_576);
+
+        // A small pool keeps the shortest log, which one live batch fits.
+        let config = SketchSwitchConfig::exhaustible(0.3, 3);
+        let small = SketchSwitch::new(pstable(1.0, 61), config, 1);
+        assert_eq!(small.log.capacity, LOG_MIN_UPDATES);
     }
 
     #[test]
@@ -1042,46 +1122,146 @@ mod tests {
         for (name, updates) in &streams {
             for batches in [&[1][..], &[8], &[64], &[65], &[64, 1, 8, 700, 64, 65]] {
                 for copies in [3, 24] {
-                    let switches = assert_twins_agree(restart(copies), updates, batches);
+                    let switches =
+                        assert_twins_agree(small_kmv(), restart(copies), updates, batches);
                     // The mixed schedule publishes less often.
                     let wraps = switches > copies || batches.len() > 1;
                     assert!(wraps, "{name}, {batches:?}: {switches} switches");
                 }
-                assert_twins_agree(exhaustible, updates, batches);
+                assert_twins_agree(small_kmv(), exhaustible, updates, batches);
             }
         }
     }
 
     #[test]
-    fn an_ingest_feeds_the_active_copy_and_at_most_one_other() {
-        let config = SketchSwitchConfig {
-            epsilon: 0.2,
-            copies: 24,
+    fn deferring_pstable_copies_changes_no_reading() {
+        // Deletions and non-unit updates break the p = 2 counting kernel's
+        // runs of unit updates, so both of its paths are exercised.
+        let updates: Vec<Update> = ZipfGenerator::new(1 << 12, 1.1, 5)
+            .take_updates(1_000)
+            .into_iter()
+            .enumerate()
+            .map(|(t, u)| match t % 7 {
+                3 => Update::delete(u.item),
+                5 => Update::new(u.item, 3),
+                _ => u,
+            })
+            .collect();
+        // A restarted p = 1 copy computes its calibration constant, so the
+        // pools publish at ε = 0.3 to keep the restarts few.
+        let restart = |copies| SketchSwitchConfig {
+            epsilon: 0.3,
+            copies,
             strategy: SwitchStrategy::Restart,
         };
-        let mut pool = SketchSwitch::new(TallyFactory, config, 0);
+        let exhaustible = SketchSwitchConfig::exhaustible(0.3, 20);
+        for p in [1.0, 2.0] {
+            for batches in [
+                &[1][..],
+                &[4],
+                &[64],
+                &[65],
+                &[700],
+                &[4, 1, 64, 700, 4, 65],
+            ] {
+                for copies in [3, 12] {
+                    let switches =
+                        assert_twins_agree(pstable(p, 61), restart(copies), &updates, batches);
+                    // Without replay-sized batches the 3-copy pool wraps
+                    // around, so restarted copies are read again.
+                    let wraps = switches > copies || copies > 3 || batches.iter().any(|&b| b > 65);
+                    assert!(wraps, "p = {p}, {batches:?}: {switches} switches");
+                }
+                assert_twins_agree(pstable(p, 61), exhaustible, &updates, batches);
+            }
+        }
+        // The fleet's F₂ pool keeps a 150-update log, not the shortest.
+        for batches in [&[4][..], &[4, 4, 1, 4, 65]] {
+            assert_twins_agree(pstable(2.0, 461), fleet_fp(), &updates, batches);
+        }
+    }
+
+    /// Counts the updates the copy it wraps receives.
+    #[derive(Debug, Clone)]
+    struct Counted<E>(E, usize);
+
+    impl<E: Estimator> Estimator for Counted<E> {
+        fn update(&mut self, update: Update) {
+            self.0.update(update);
+            self.1 += 1;
+        }
+
+        fn update_batch(&mut self, updates: &[Update]) {
+            self.0.update_batch(updates);
+            self.1 += updates.len();
+        }
+
+        fn estimate(&self) -> f64 {
+            self.0.estimate()
+        }
+
+        fn space_bytes(&self) -> usize {
+            self.0.space_bytes()
+        }
+    }
+
+    struct CountedFactory<F>(F);
+
+    impl<F: EstimatorFactory> EstimatorFactory for CountedFactory<F> {
+        type Output = Counted<F::Output>;
+
+        fn build(&self, seed: u64) -> Self::Output {
+            Counted(self.0.build(seed), 0)
+        }
+
+        fn name(&self) -> String {
+            format!("counted {}", self.0.name())
+        }
+    }
+
+    /// Streams 400 batches of fresh items into `pool`, with sizes from
+    /// `sizes` and every 50th batch replay-sized, and publishes after
+    /// every 37th. Checks, by the updates each copy has `received`, that a
+    /// live batch that fits the log reaches at most two copies (the active
+    /// one and the one catching up), that a replay-sized batch leaves
+    /// nothing queued, and that no retired copy receives anything. Returns
+    /// the fresh items streamed and the overflows.
+    fn assert_an_ingest_feeds_at_most_two<F>(
+        pool: &mut SketchSwitch<F>,
+        sizes: &[u64],
+        received: impl Fn(&F::Output) -> usize,
+    ) -> (u64, usize)
+    where
+        F: EstimatorFactory + Send,
+        F::Output: Send,
+    {
+        let state =
+            |pool: &SketchSwitch<F>| -> Vec<usize> { pool.copies.iter().map(&received).collect() };
         let (mut next, mut overflows) = (0u64, 0);
-        // 23 lazy copies queue ~23 · 53 updates between catch-ups, more
-        // than the log holds, and every 50th batch is replay-sized.
-        let sizes = [64, 64, 8, 64, 64].into_iter().cycle();
-        for (t, size) in sizes.take(400).enumerate() {
+        for (t, &size) in sizes.iter().cycle().take(400).enumerate() {
             let size = if t % 50 == 49 { 100 } else { size };
-            let batch: Vec<Update> = (next..next + size).map(Update::insert).collect();
+            let batch = inserts(next..next + size);
             next += size;
-            let before: Vec<usize> = pool.copies.iter().map(|copy| copy.0.len()).collect();
-            let log = pool.log.as_ref().unwrap();
-            let fits = log.updates.len() + batch.len() <= LOG_UPDATES;
+            let (before, first) = (state(pool), pool.first_live());
+            let fits = pool.log.updates.len() + batch.len() <= pool.log.capacity;
             pool.ingest_batch(&batch);
-            let log = pool.log.as_ref().unwrap();
-            assert!(log.updates.len() <= LOG_UPDATES);
+            let after = state(pool);
+            let log = &pool.log;
+            assert!(log.updates.len() <= log.capacity);
             assert_eq!(log.cursors[pool.active], log.updates.len());
-            let fed = (0..24)
-                .filter(|&i| pool.copies[i].0.len() > before[i])
-                .count();
+            let fed: Vec<usize> = (0..after.len())
+                .filter(|&i| before[i] != after[i])
+                .collect();
+            assert!(
+                fed.iter().all(|&i| i >= first),
+                "batch {t}: retired copy fed"
+            );
             if batch.len() > STACK_BATCH {
-                // A replay-sized batch reaches every copy, deferring none.
-                assert_eq!((fed, log.updates.len()), (24, 0), "batch {t}");
+                // A replay-sized batch reaches every live copy, deferring none.
+                let live = after.len() - first;
+                assert_eq!((fed.len(), log.updates.len()), (live, 0), "batch {t}");
             } else if fits {
+                let fed = fed.len();
                 assert!(fed <= 2, "batch {t}: {fed} copies fed without an overflow");
             } else {
                 overflows += 1;
@@ -1090,13 +1270,43 @@ mod tests {
                 pool.on_publish();
             }
         }
-        assert!(overflows > 0, "the log never filled");
-        // Once caught up, every copy holds, in stream order, the whole
-        // suffix since it was last restarted, and a copy never restarted
-        // holds the whole stream.
-        let all: Vec<Update> = (0..next).map(Update::insert).collect();
-        pool.catch_up_all();
-        assert!(pool.copies.iter().all(|copy| all.ends_with(&copy.0)));
-        assert!(pool.copies.iter().any(|copy| copy.0 == all));
+        (next, overflows)
+    }
+
+    #[test]
+    fn an_ingest_feeds_the_active_copy_and_at_most_one_other() {
+        for strategy in [SwitchStrategy::Restart, SwitchStrategy::Exhaustible] {
+            // 23 lazy copies queue ~23 · 53 updates between catch-ups,
+            // more than the 1,024-update log holds.
+            let mut pool = tally_pool(strategy, 24);
+            let (next, overflows) =
+                assert_an_ingest_feeds_at_most_two(&mut pool, &[64, 64, 8, 64, 64], |copy| {
+                    copy.0.len()
+                });
+            assert!(overflows > 0, "{strategy:?}: the log never filled");
+            // Once caught up, every copy that may be read holds, in stream
+            // order, the whole suffix since it was last restarted, and a
+            // copy never restarted holds the whole stream. A retired copy
+            // holds a prefix.
+            let all = inserts(0..next);
+            let first = pool.first_live();
+            pool.catch_up_all();
+            assert!(pool.copies[first..]
+                .iter()
+                .all(|copy| all.ends_with(&copy.0)));
+            assert!(pool.copies[first..].iter().any(|copy| copy.0 == all));
+            assert!(pool.copies[..first]
+                .iter()
+                .all(|copy| all.starts_with(&copy.0)));
+        }
+        // The fleet's F₂ pools: 40 lazy copies queue ~40 · 4.2 updates
+        // between catch-ups, a little more than their 150-update log.
+        for p in [1.0, 2.0] {
+            let mut pool = SketchSwitch::new(CountedFactory(pstable(p, 461)), fleet_fp(), 1);
+            let sizes = [4, 4, 1, 4, 8];
+            let (_, overflows) =
+                assert_an_ingest_feeds_at_most_two(&mut pool, &sizes, |copy| copy.1);
+            assert!(overflows > 0, "p = {p}: the log never filled");
+        }
     }
 }

@@ -232,5 +232,32 @@ mod tests {
                 &turnstile,
             );
         }
+        // The copies of both entropy routes' switching pools. Weighted
+        // insertions offer the reservoir several tokens at once.
+        let weighted: Vec<Update> = updates
+            .iter()
+            .enumerate()
+            .map(|(t, u)| {
+                if t % 5 == 2 {
+                    Update::new(u.item, 3)
+                } else {
+                    *u
+                }
+            })
+            .collect();
+        let renyi = RenyiEntropyConfig::with_alpha(1.05, 65);
+        assert_batching_is_invisible(
+            "Rényi entropy",
+            || RenyiEntropyEstimator::new(renyi, 11),
+            renyi.rows,
+            &weighted,
+        );
+        let sampled = SampledEntropyConfig { sample_size: 128 };
+        assert_batching_is_invisible(
+            "sampled entropy",
+            || SampledEntropyEstimator::new(sampled, 13),
+            sampled.sample_size,
+            &weighted,
+        );
     }
 }

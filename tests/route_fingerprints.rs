@@ -4,10 +4,11 @@
 //! Each route streams a seeded 2,000-update workload, in batches of
 //! [`BATCH`] updates, in the stream model its theorem is stated over.
 //! After every batch the typed reading's JSON (`query().to_json()`) is
-//! folded into a 64-bit FNV-1a digest, and the final `space_bytes()` is
-//! folded in last. The table below pins those digests, so any change to
-//! how a route is assembled (which core, which factory, which per-copy δ,
-//! which plan) that alters a single published bit fails here.
+//! folded into a 64-bit FNV-1a digest. The table below pins that digest
+//! and, in a column of its own, the exact final `space_bytes()`, so any
+//! change to how a route is assembled (which core, which factory, which
+//! per-copy δ, which plan) that alters a single published bit or byte
+//! fails here, and the failure shows which of the two moved.
 //!
 //! A change that is *meant* to alter a route's numbers re-captures the
 //! table: the failure message prints the whole table as measured.
@@ -51,15 +52,15 @@ fn insertion_only() -> Vec<Update> {
     ZipfGenerator::new(DOMAIN, 1.1, 17).take_updates(UPDATES)
 }
 
-/// Streams `updates` into `estimator` in batches and digests every reading
-/// plus the final space.
-fn fingerprint(mut estimator: DynRobust, updates: &[Update]) -> u64 {
+/// Streams `updates` into `estimator` in batches; returns the digest of
+/// every reading and the final space.
+fn fingerprint(mut estimator: DynRobust, updates: &[Update]) -> (u64, usize) {
     let mut digest = FNV_OFFSET;
     for batch in updates.chunks(BATCH) {
         estimator.update_batch(batch);
         digest = fnv1a(digest, estimator.query().to_json().as_bytes());
     }
-    fnv1a(digest, &(estimator.space_bytes() as u64).to_le_bytes())
+    (digest, estimator.space_bytes())
 }
 
 /// One route: `(problem, strategy, estimator, workload)`.
@@ -141,42 +142,44 @@ fn routes() -> Vec<Route> {
     routes
 }
 
-/// `(problem, strategy, digest)`, in the order [`routes`] builds them.
-const EXPECTED: &[(&str, &str, u64)] = &[
-    ("f0", "switching", 0x2f2263b7a0fa83a2),
-    ("f0", "paths", 0x97f0a1a13bdbbef0),
-    ("f0", "dp-aggregation", 0x0d1607c13dac2d4a),
-    ("f0", "difference-estimators", 0x233a16c011fe4547),
-    ("f0", "crypto-chacha", 0xa829dae11fac8092),
-    ("f0", "crypto-random-oracle", 0x27ef5439098a5c66),
-    ("fp1", "switching", 0x8fc6299147aa25c8),
-    ("fp2", "switching", 0x73d65d1e6302044c),
-    ("fp1", "paths", 0x0fe22cd83b3c566a),
-    ("fp2", "paths", 0x3fbaedb1189bd18a),
-    ("fp1", "dp-aggregation", 0x6856ed3b900c7ed9),
-    ("fp2", "dp-aggregation", 0xd2db999ffe223ee9),
-    ("fp1", "difference-estimators", 0x457d26511d467d52),
-    ("fp2", "difference-estimators", 0x2e199b6725fbad8d),
-    ("fp3-large", "paths", 0xb91113183457c36b),
-    ("turnstile-fp2", "paths", 0xf1f846387ec16a49),
-    ("bounded-deletion-fp1", "paths", 0xb6419fbd1ee5bb0f),
-    ("entropy-renyi", "switching", 0x899fc94117d8de4a),
-    ("entropy-sampled", "switching", 0x51a9614708bcae1f),
-    ("f0", "theorem-10-1", 0x2d2e825ce5bf3388),
+/// `(problem, strategy, readings digest, space_bytes)`, in the order
+/// [`routes`] builds them.
+const EXPECTED: &[(&str, &str, u64, usize)] = &[
+    ("f0", "switching", 0x71293c7fa16e4e6d, 994424),
+    ("f0", "paths", 0x1c7a5ff655af3fa4, 5256),
+    ("f0", "dp-aggregation", 0x3963483c3fa8e538, 1749032),
+    ("f0", "difference-estimators", 0x866826a058bb62ac, 565736),
+    ("f0", "crypto-chacha", 0xcfeb55af329544c7, 13120),
+    ("f0", "crypto-random-oracle", 0x83b7a44b7647adf3, 13096),
+    ("fp1", "switching", 0xc49e41ae0e367351, 161648),
+    ("fp2", "switching", 0x8db913242dbcfe9e, 383648),
+    ("fp1", "paths", 0xac90fd005a4c11ac, 8760),
+    ("fp2", "paths", 0xc9716f49034c09cc, 8760),
+    ("fp1", "dp-aggregation", 0x6d6354069dfdb4b9, 306256),
+    ("fp2", "dp-aggregation", 0x5986f7385e783c81, 366568),
+    ("fp1", "difference-estimators", 0x2fe54f8156871362, 79648),
+    ("fp2", "difference-estimators", 0x3b6a6de2d7856869, 79648),
+    ("fp3-large", "paths", 0x6c575011e8f0fe83, 36952),
+    ("turnstile-fp2", "paths", 0x999f0cf0ecdb50eb, 8760),
+    ("bounded-deletion-fp1", "paths", 0x7fe70b7fcb5919bd, 8760),
+    ("entropy-renyi", "switching", 0x64b48d94b59692c6, 538384),
+    ("entropy-sampled", "switching", 0x4a74323b091c543b, 559184),
+    ("f0", "theorem-10-1", 0x9c6e43ab5d72114e, 2792),
 ];
 
 #[test]
 fn every_route_reproduces_its_fingerprint() {
-    let measured: Vec<(&str, &str, u64)> = routes()
+    let measured: Vec<(&str, &str, u64, usize)> = routes()
         .into_iter()
         .map(|(problem, strategy, estimator, updates)| {
-            (problem, strategy, fingerprint(estimator, &updates))
+            let (digest, space) = fingerprint(estimator, &updates);
+            (problem, strategy, digest, space)
         })
         .collect();
     let table: String = measured
         .iter()
-        .map(|(problem, strategy, digest)| {
-            format!("    (\"{problem}\", \"{strategy}\", {digest:#018x}),\n")
+        .map(|(problem, strategy, digest, space)| {
+            format!("    (\"{problem}\", \"{strategy}\", {digest:#018x}, {space}),\n")
         })
         .collect();
     assert_eq!(
